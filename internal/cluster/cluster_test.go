@@ -301,9 +301,22 @@ func TestClusterSurvivesNodeKill(t *testing.T) {
 	nodes, urls, kill := testCluster(t, 3)
 	cfg := originConfig()
 
-	// Pick the victim: any node, but record that it owns at least one key
-	// pre-kill so the rehash is observable.
-	const victim = 1
+	// Pick the victim as the owner of a key that is first requested after
+	// the kill (the last chunk of rate 0; every node serves a rate-0
+	// client). No survivor can then hold that key in its peer cache, so
+	// requesting it through a survivor must find the owner dead. A victim
+	// whose keys were all peer-cached in the first half would be
+	// unobservable: survivors would serve them from cache and never notice.
+	lastKey := fmt.Sprintf("seg:0:%d", cfg.Chunks-1)
+	victim := -1
+	for i, u := range urls {
+		if nodes[0].Ring().Owner(lastKey) == u {
+			victim = i
+		}
+	}
+	if victim < 0 {
+		t.Fatalf("no node owns %s", lastKey)
+	}
 	victimKeys := 0
 	for rate := 0; rate < len(cfg.Rates); rate++ {
 		for n := 0; n < cfg.Chunks; n++ {
@@ -385,27 +398,18 @@ func TestClusterSurvivesNodeKill(t *testing.T) {
 		}
 	}
 
-	// Force both survivors to notice the death (normal traffic almost
-	// certainly already has, but the assertion must not be probabilistic):
-	// request a victim-owned key through each survivor.
-	var victimKey string
-	for rate := 0; rate < len(cfg.Rates) && victimKey == ""; rate++ {
-		for n := 0; n < cfg.Chunks; n++ {
-			if nodes[0].Ring().Owner(fmt.Sprintf("seg:%d:%d", rate, n)) == urls[victim] {
-				victimKey = fmt.Sprintf("/segment?rate=%d&n=%d", rate, n)
-				break
-			}
-		}
-	}
+	// Force both survivors to notice the death (normal traffic already
+	// has, but the assertion must not be probabilistic): request the
+	// victim-owned key that no survivor could have peer-cached before the
+	// kill through each survivor.
+	victimKey := fmt.Sprintf("/segment?rate=0&n=%d", cfg.Chunks-1)
 	for i, u := range urls {
 		if i == victim {
 			continue
 		}
-		if victimKey != "" {
-			cli := httpstream.NewRawClient(u, nil, httpstream.WithRetryPolicy(clientPolicy(int64(100+i))))
-			if _, err := cli.Fetch(victimKey); err != nil {
-				t.Errorf("survivor %d failed to serve a victim-owned key: %v", i, err)
-			}
+		cli := httpstream.NewRawClient(u, nil, httpstream.WithRetryPolicy(clientPolicy(int64(100+i))))
+		if _, err := cli.Fetch(victimKey); err != nil {
+			t.Errorf("survivor %d failed to serve a victim-owned key: %v", i, err)
 		}
 	}
 

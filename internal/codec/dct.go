@@ -2,89 +2,23 @@
 // stands in for VP9/H.264 in the NERVE reproduction (see DESIGN.md §1).
 //
 // It is a real, if compact, codec: 16×16 motion-compensated macroblocks,
-// 8×8 AAN butterfly DCT of intra pixels or inter residuals (reference
-// basis-matrix transforms are kept as test oracles and behind the codecref
-// build tag), frequency-weighted uniform quantisation, zigzag run/level
-// entropy coding with Exp-Golomb codes, GOP structure with periodic intra
-// frames, per-frame rate control toward a target bitrate, and slice-based
+// 8×8 AAN butterfly DCT of intra pixels or inter residuals,
+// frequency-weighted uniform quantisation, zigzag run/level entropy coding
+// with Exp-Golomb codes, GOP structure with periodic intra frames,
+// per-frame rate control toward a target bitrate, and slice-based
 // packetisation so that packet loss yields partially decodable frames (the
 // Ipart input of the recovery model).
+//
+// The encoder (server, amd64) and decoder (client, arm64) must rebuild the
+// same reference frame bit for bit, so the package's float arithmetic is
+// fusion-free: every product that feeds an add or subtract is wrapped in
+// an explicit float32() conversion, which the Go spec defines as a
+// rounding step that the compiler may not fuse into a multiply-add.
+// TestNoFusedMultiplyAdd scans the arm64 assembly for fused ops and
+// TestGoldenGOP pins the decoded pixels and bitstream of a committed GOP.
 package codec
 
-import "math"
-
 const blockSize = 8
-
-// dctBasis[u][x] = C(u)·cos((2x+1)uπ/16) — the 1-D orthonormal DCT-II
-// basis, used by the reference transforms.
-var dctBasis = makeDCTBasis()
-
-func makeDCTBasis() (b [blockSize][blockSize]float32) {
-	for u := 0; u < blockSize; u++ {
-		c := math.Sqrt(2.0 / blockSize)
-		if u == 0 {
-			c = math.Sqrt(1.0 / blockSize)
-		}
-		for x := 0; x < blockSize; x++ {
-			b[u][x] = float32(c * math.Cos(float64(2*x+1)*float64(u)*math.Pi/(2*blockSize)))
-		}
-	}
-	return b
-}
-
-// fdct8Ref computes the 2-D forward DCT of an 8×8 block (row-major in/out)
-// by direct basis-matrix multiplication: the unscaled orthonormal DCT-II.
-// It is the differential-test oracle for the AAN fast path and the active
-// transform in `-tags codecref` builds.
-func fdct8Ref(in, out *[64]float32) {
-	var tmp [64]float32
-	// Rows.
-	for y := 0; y < 8; y++ {
-		for u := 0; u < 8; u++ {
-			var s float32
-			for x := 0; x < 8; x++ {
-				s += in[y*8+x] * dctBasis[u][x]
-			}
-			tmp[y*8+u] = s
-		}
-	}
-	// Columns.
-	for u := 0; u < 8; u++ {
-		for v := 0; v < 8; v++ {
-			var s float32
-			for y := 0; y < 8; y++ {
-				s += tmp[y*8+u] * dctBasis[v][y]
-			}
-			out[v*8+u] = s
-		}
-	}
-}
-
-// idct8Ref computes the 2-D inverse DCT of an 8×8 coefficient block by
-// direct basis-matrix multiplication (oracle / codecref twin of fdct8Ref).
-func idct8Ref(in, out *[64]float32) {
-	var tmp [64]float32
-	// Columns.
-	for u := 0; u < 8; u++ {
-		for y := 0; y < 8; y++ {
-			var s float32
-			for v := 0; v < 8; v++ {
-				s += in[v*8+u] * dctBasis[v][y]
-			}
-			tmp[y*8+u] = s
-		}
-	}
-	// Rows.
-	for y := 0; y < 8; y++ {
-		for x := 0; x < 8; x++ {
-			var s float32
-			for u := 0; u < 8; u++ {
-				s += tmp[y*8+u] * dctBasis[u][x]
-			}
-			out[y*8+x] = s
-		}
-	}
-}
 
 // transformSet bundles a forward/inverse transform pair with its diagonal
 // scaling, folded into the quantiser tables (see DESIGN.md §10):
@@ -99,22 +33,16 @@ func idct8Ref(in, out *[64]float32) {
 //     coefficients as the unscaled transform would — scaling costs zero
 //     extra multiplies, and bitstreams are interchangeable across sets.
 type transformSet struct {
-	fdct, idct func(in, out *[64]float32)
-	// fdct4x/idct4x, when non-nil, transform four blocks per call — the
-	// packed SWAR tier (dct_int4x.go) uses them to run one lane per block
-	// of a macroblock. Semantics per block are identical to fdct/idct;
-	// the macroblock coders batch through them when present.
-	fdct4x, idct4x func(in, out *[4][64]float32)
-	fwdScale       [64]float32
-	invScale       [64]float32
-	quantRecip     [64]float32
-	dequantStep    [64]float32
+	fdct, idct  func(in, out *[64]float32)
+	fwdScale    [64]float32
+	invScale    [64]float32
+	quantRecip  [64]float32
+	dequantStep [64]float32
 }
 
-// xf is the active transform set. It is chosen at build time by
-// defaultTransforms (AAN unless built with -tags codecref) and swapped only
-// by the package's own parity tests.
-var xf = defaultTransforms()
+// xf is the active transform set: the AAN butterflies, swapped only by the
+// package's own parity tests.
+var xf = aanTransforms()
 
 func newTransformSet(fdct, idct func(in, out *[64]float32), fwd, inv [64]float32) transformSet {
 	ts := transformSet{fdct: fdct, idct: idct, fwdScale: fwd, invScale: inv}
@@ -123,15 +51,6 @@ func newTransformSet(fdct, idct func(in, out *[64]float32), fwd, inv [64]float32
 		ts.dequantStep[i] = quantWeight[i] * inv[i]
 	}
 	return ts
-}
-
-// refTransforms returns the basis-matrix transform set (unit scales).
-func refTransforms() transformSet {
-	var one [64]float32
-	for i := range one {
-		one[i] = 1
-	}
-	return newTransformSet(fdct8Ref, idct8Ref, one, one)
 }
 
 // zigzag is the standard 8×8 zigzag scan order.
@@ -153,7 +72,7 @@ var quantWeight = makeQuantWeight()
 func makeQuantWeight() (w [64]float32) {
 	for v := 0; v < 8; v++ {
 		for u := 0; u < 8; u++ {
-			w[v*8+u] = 1 + 0.6*float32(u+v)
+			w[v*8+u] = 1 + float32(0.6*float32(u+v))
 		}
 	}
 	return w
@@ -161,11 +80,12 @@ func makeQuantWeight() (w [64]float32) {
 
 // quantise maps fdct output (in the active set's scaled domain) to integer
 // levels for quantiser step q: round(X[i] / (q·quantWeight[i])) in the true
-// coefficient domain, with the descale folded into quantRecip.
+// coefficient domain, with the descale folded into quantRecip. The
+// float32() rounds the product before roundLevel adds 0.5.
 func quantise(coef *[64]float32, q float32, levels *[64]int32) {
 	invQ := 1 / q
 	for i := 0; i < 64; i++ {
-		levels[i] = roundLevel(coef[i] * xf.quantRecip[i] * invQ)
+		levels[i] = roundLevel(float32(coef[i] * xf.quantRecip[i] * invQ))
 	}
 }
 

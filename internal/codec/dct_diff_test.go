@@ -216,9 +216,7 @@ func encodeDecodePSNRs(t *testing.T, frames []*vmath.Plane, cfg Config) []float6
 
 // TestEncodePSNRParityWithReference is the end-to-end quality gate: the
 // full encode/decode pipeline under the AAN transforms must land within
-// 0.05 dB of the basis-matrix transforms on every golden frame. Run under
-// both build tags, it pins whichever set is not the default against the
-// other.
+// 0.05 dB of the basis-matrix transforms on every golden frame.
 func TestEncodePSNRParityWithReference(t *testing.T) {
 	setXF := func(ts transformSet) func() {
 		old := xf

@@ -93,19 +93,14 @@ type ClientConfig struct {
 	EnableRecovery bool
 	// EnableSR turns super-resolution on.
 	EnableSR bool
-	// FixedPoint selects the integer/SWAR kernel tier end to end: the
-	// recovery model runs its byte-plane warp path (recovery.Config
-	// .FixedPoint) and the SR stage uses the byte-plane head (sr.NewFast).
-	// Output differs from the float tier by at most a few grey levels
-	// (see the tier parity tests in those packages) at a fraction of the
-	// one-core frame time. Legacy knob: Tier supersedes it when set.
-	FixedPoint bool
 	// Tier selects the kernel tier policy: TierFloat (the zero value) and
 	// TierFixed pin one tier for every frame, TierAuto lets a deadline
 	// governor switch float↔fixed per frame from observed frame times
-	// (see tierGovernor). When Tier is left at its zero value the legacy
-	// FixedPoint flag still selects TierFixed, so existing configurations
-	// keep their meaning.
+	// (see tierGovernor). The fixed tier runs the recovery model's
+	// byte-plane warp path (recovery.Config.FixedPoint) and the SR
+	// stage's byte-plane head (sr.NewFast); its output differs from the
+	// float tier by at most a few grey levels (see the tier parity tests
+	// in those packages) at a fraction of the one-core frame time.
 	Tier Tier
 	// Device is the cost model used for the latency/energy accounting
 	// (default iPhone 12).
@@ -189,8 +184,7 @@ type Client struct {
 	srFixed upscaler
 	hasSR   bool
 
-	tier Tier          // resolved policy (FixedPoint legacy mapped in)
-	gov  *tierGovernor // deadline governor; non-nil only for TierAuto
+	gov *tierGovernor // deadline governor; non-nil only for TierAuto
 	// govCost, when set, replaces the governor's wall-clock frame cost
 	// with a scripted one — the determinism tests' seam. Takes the frame
 	// index and the tier the frame ran in.
@@ -216,28 +210,23 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Device == nil {
 		cfg.Device = device.IPhone12()
 	}
-	tier := cfg.Tier
-	if tier == TierFloat && cfg.FixedPoint {
-		tier = TierFixed
-	}
 	c := &Client{
 		cfg:     cfg,
 		dec:     codec.NewDecoder(codec.Config{W: cfg.W, H: cfg.H}),
-		rec:     recovery.New(recovery.Config{OutW: cfg.W, OutH: cfg.H, FixedPoint: tier == TierFixed}),
+		rec:     recovery.New(recovery.Config{OutW: cfg.W, OutH: cfg.H, FixedPoint: cfg.Tier == TierFixed}),
 		ext:     edgecode.NewExtractor(0, 0),
-		tier:    tier,
 		classes: make(map[FrameClass]int),
 	}
 	if cfg.EnableSR && (cfg.OutW != cfg.W || cfg.OutH != cfg.H) {
 		c.hasSR = true
-		if tier != TierFixed {
+		if cfg.Tier != TierFixed {
 			c.srFloat = sr.New(sr.Config{OutW: cfg.OutW, OutH: cfg.OutH})
 		}
-		if tier != TierFloat {
+		if cfg.Tier != TierFloat {
 			c.srFixed = sr.NewFast(sr.Config{OutW: cfg.OutW, OutH: cfg.OutH})
 		}
 	}
-	if tier == TierAuto {
+	if cfg.Tier == TierAuto {
 		// Seed the governor from the device model until real observations
 		// arrive: the float tier is priced as hardware decode plus neural
 		// inference, the fixed tier as decode plus the grid-sample warp at
@@ -335,7 +324,7 @@ func (c *Client) observeGov(res *FrameResult, cost time.Duration) {
 // frameTier resolves the tier for the frame about to be ingested.
 func (c *Client) frameTier() (t Tier, probe bool) {
 	if c.gov == nil {
-		return c.tier, false
+		return c.cfg.Tier, false
 	}
 	t, probe = c.gov.next()
 	if probe {

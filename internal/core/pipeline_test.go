@@ -95,20 +95,20 @@ func TestPipelinedMatchesSequential(t *testing.T) {
 	sfs := pipelineServerFrames(t, frames)
 	for _, tc := range []struct {
 		name    string
-		fixed   bool
+		tier    Tier
 		workers int
 	}{
-		{"float/1worker", false, 1},
-		{"float/4workers", false, 4},
-		{"fixed/1worker", true, 1},
-		{"fixed/4workers", true, 4},
+		{"float/1worker", TierFloat, 1},
+		{"float/4workers", TierFloat, 4},
+		{"fixed/1worker", TierFixed, 1},
+		{"fixed/4workers", TierFixed, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer par.SetWorkers(tc.workers)()
 			cfg := ClientConfig{
 				W: tw, H: th, OutW: tw * 2, OutH: th * 2,
 				EnableRecovery: true, EnableSR: true,
-				FixedPoint: tc.fixed,
+				Tier: tc.tier,
 			}
 			seq := runSequential(t, cfg, sfs)
 			pip := runPipelined(t, cfg, sfs)
@@ -159,16 +159,13 @@ func TestPipelineFlushIsIdempotent(t *testing.T) {
 // ingest(n) draw planes from the pool concurrently, and a warmed pipeline
 // must still allocate no plane backing arrays per frame.
 func TestPipelinedSteadyStateZeroPlaneAllocs(t *testing.T) {
-	if vmath.RaceEnabled {
-		t.Skip("sync.Pool drops random Puts under -race; steady state is not allocation-free there")
-	}
 	defer par.SetWorkers(2)()
 
 	const frames = 24
 	sfs := pipelineServerFrames(t, frames)
 	cli, err := NewClient(ClientConfig{
 		W: tw, H: th, OutW: tw * 2, OutH: th * 2,
-		EnableRecovery: true, EnableSR: true, FixedPoint: true,
+		EnableRecovery: true, EnableSR: true, Tier: TierFixed,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,8 +5,11 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"nerve/internal/video"
 )
@@ -174,5 +177,67 @@ func TestReEncodeAfterEvictSingleflight(t *testing.T) {
 	// impossible here, the budget fits one segment.
 	if d := srv.Encodes() - before; d > 1 {
 		t.Fatalf("miss storm on one evicted chunk cost %d encodes, want ≤ 1", d)
+	}
+}
+
+// TestSegmentRechecksCacheAfterRateLock: a request for chunk 4 that waits
+// on the rate lock while another request builds chunks 0–5 must find
+// chunk 4 in the cache once it gets the lock, not replay the rate from
+// chunk 0. Both requests park on the lock the test holds, in a known order
+// (n=5 first), so the outcome does not depend on scheduling.
+func TestSegmentRechecksCacheAfterRateLock(t *testing.T) {
+	srv, err := NewServer(ServerConfig{
+		W: 96, H: 64, ChunkSeconds: 0.5, Chunks: 6,
+		Rates:  []int{200},
+		Source: video.NewGenerator(video.Categories()[2], 7),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	sr := srv.encs[0]
+	sr.mu.Lock()
+	var wg sync.WaitGroup
+	request := func(n int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := srv.segment(ctx, 0, n); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	request(5)
+	waitSegmentsOnRateLock(t, 1)
+	request(4)
+	waitSegmentsOnRateLock(t, 2)
+	sr.mu.Unlock()
+	wg.Wait()
+	if got := srv.Encodes(); got != 6 {
+		t.Fatalf("chunks 0–5 cost %d encodes, want 6", got)
+	}
+}
+
+// waitSegmentsOnRateLock blocks until want goroutines are parked on a
+// mutex inside Server.segment, judged from their stack traces.
+func waitSegmentsOnRateLock(t *testing.T, want int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		n := 0
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		for _, g := range strings.Split(stacks, "\n\n") {
+			if strings.Contains(g, "sync.(*Mutex).Lock") && strings.Contains(g, "(*Server).segment") {
+				n++
+			}
+		}
+		if n >= want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d segment requests parked on the rate lock:\n%s", n, want, stacks)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

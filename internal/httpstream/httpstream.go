@@ -242,6 +242,11 @@ func (s *Server) segment(ctx context.Context, rate, n int) ([]byte, error) {
 		sr := s.encs[rate]
 		sr.mu.Lock()
 		defer sr.mu.Unlock()
+		// A request for a later chunk may have built n while this one
+		// waited for the rate lock; replaying would redo its work.
+		if b, ok := s.cache.Get(segKey(rate, n)); ok {
+			return b, nil
+		}
 		if sr.next > n {
 			// Encoded once, since evicted: replay the rate from chunk 0
 			// to rebuild the P-frame history. Deterministic source +

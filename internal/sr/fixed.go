@@ -18,12 +18,18 @@ import (
 // warp — which is what lets a 1080p decode→recover→SR frame fit the 33 ms
 // budget on one core (DESIGN.md §10).
 //
-// The head is stateless across frames (no fusion history), so Reset is a
-// no-op kept for interface symmetry and the output depends only on the
-// current LR frame.
+// The head is stateless across frames (no fusion history): Reset only
+// returns its scratch planes to the pool, and the output depends only on
+// the current LR frame.
 type FastUpscaler struct {
 	cfg   Config
 	sharp *vmath.BytePlane // persistent pooled scratch at LR geometry
+	// lrB and outB are Upscale's byte shadows of its input and output,
+	// persistent like sharp. Holding them keeps the head out of the pool
+	// while a pipelined ingest stage draws the same bucket for recovery's
+	// byte flow, so the pool's warm high-water mark does not depend on how
+	// the two stages interleave.
+	lrB, outB *vmath.BytePlane
 }
 
 // NewFast builds the byte-plane head for the configuration. Only OutW,
@@ -40,7 +46,19 @@ func (s *FastUpscaler) Config() Config { return s.cfg }
 // Reset drops scratch state (there is no temporal state to clear).
 func (s *FastUpscaler) Reset() {
 	vmath.PutBytes(s.sharp)
-	s.sharp = nil
+	vmath.PutBytes(s.lrB)
+	vmath.PutBytes(s.outB)
+	s.sharp, s.lrB, s.outB = nil, nil, nil
+}
+
+// scratchBytes returns p when it is already w×h, otherwise returns p to the
+// pool and draws a w×h replacement.
+func scratchBytes(p *vmath.BytePlane, w, h int) *vmath.BytePlane {
+	if p != nil && p.W == w && p.H == h {
+		return p
+	}
+	vmath.PutBytes(p)
+	return vmath.GetBytes(w, h)
 }
 
 // boost256 derives the Q8 sharpening amount from the upscale factor with
@@ -78,10 +96,7 @@ func (s *FastUpscaler) UpscaleBytesInto(dst, lr *vmath.BytePlane) *vmath.BytePla
 		vmath.SharpenBytesInto(dst, lr, a256)
 		return dst
 	}
-	if s.sharp == nil || s.sharp.W != lr.W || s.sharp.H != lr.H {
-		vmath.PutBytes(s.sharp)
-		s.sharp = vmath.GetBytes(lr.W, lr.H)
-	}
+	s.sharp = scratchBytes(s.sharp, lr.W, lr.H)
 	// Sharpen at LR cost (a quarter of the output pixels at 2×), then one
 	// SWAR bilinear pass to display resolution.
 	vmath.SharpenBytesInto(s.sharp, lr, a256)
@@ -90,16 +105,13 @@ func (s *FastUpscaler) UpscaleBytesInto(dst, lr *vmath.BytePlane) *vmath.BytePla
 }
 
 // Upscale is the float-plane convenience wrapper: it shadows lr into a
-// pooled byte plane, runs the byte head and converts back. The returned
-// plane is pool-backed and owned by the caller, like SuperResolver's. Hot
-// callers should hold byte planes and call UpscaleBytesInto directly to
-// skip both conversions.
+// persistent byte plane, runs the byte head and converts back. The
+// returned plane is pool-backed and owned by the caller, like
+// SuperResolver's. Hot callers should hold byte planes and call
+// UpscaleBytesInto directly to skip both conversions.
 func (s *FastUpscaler) Upscale(lr *vmath.Plane) *vmath.Plane {
-	lrB := vmath.GetBytes(lr.W, lr.H).FromPlane(lr)
-	outB := vmath.GetBytes(s.cfg.OutW, s.cfg.OutH)
-	s.UpscaleBytesInto(outB, lrB)
-	vmath.PutBytes(lrB)
-	out := outB.ToPlane(vmath.Get(s.cfg.OutW, s.cfg.OutH))
-	vmath.PutBytes(outB)
-	return out
+	s.lrB = scratchBytes(s.lrB, lr.W, lr.H).FromPlane(lr)
+	s.outB = scratchBytes(s.outB, s.cfg.OutW, s.cfg.OutH)
+	s.UpscaleBytesInto(s.outB, s.lrB)
+	return s.outB.ToPlane(vmath.Get(s.cfg.OutW, s.cfg.OutH))
 }

@@ -116,9 +116,6 @@ func TestFastUpscaleSameGeometryIsSharpenOnly(t *testing.T) {
 // TestFastUpscaleZeroPlaneAllocsWarm: after the first call the head must
 // run entirely on pooled planes.
 func TestFastUpscaleZeroPlaneAllocsWarm(t *testing.T) {
-	if vmath.RaceEnabled {
-		t.Skip("sync.Pool drops Puts under -race; pool determinism not observable")
-	}
 	const lrW, lrH, outW, outH = 160, 90, 320, 180
 	lr := randomByteLR(lrW, lrH, 4)
 	fu := NewFast(Config{OutW: outW, OutH: outH})

@@ -134,8 +134,10 @@ func (h *Histogram) merge() (merged [histBuckets]int64, total int64) {
 	return
 }
 
-// quantileOf reads the q-quantile out of a merged bucket array.
-func quantileOf(merged *[histBuckets]int64, total int64, q float64) time.Duration {
+// quantileOf reads the q-quantile out of a merged bucket array. The
+// bucket midpoint is clamped to peak, the exact largest observation, so a
+// quantile never exceeds the maximum it is reported beside.
+func quantileOf(merged *[histBuckets]int64, total int64, peak time.Duration, q float64) time.Duration {
 	if total == 0 {
 		return 0
 	}
@@ -154,18 +156,18 @@ func quantileOf(merged *[histBuckets]int64, total int64, q float64) time.Duratio
 		cum += n
 		if cum >= target {
 			lo, width := bucketBounds(b)
-			return time.Duration(lo + width/2)
+			return min(time.Duration(lo+width/2), peak)
 		}
 	}
 	return time.Duration(0) // unreachable
 }
 
 // Quantile returns the q-quantile (0 < q ≤ 1) of the recorded durations,
-// estimated as the midpoint of the bucket holding the target rank. An
-// empty histogram returns 0.
+// estimated as the midpoint of the bucket holding the target rank and
+// capped at Max. An empty histogram returns 0.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	merged, total := h.merge()
-	return quantileOf(&merged, total, q)
+	return quantileOf(&merged, total, h.Max(), q)
 }
 
 // Quantiles returns several quantiles in one pass over the buckets —
@@ -173,9 +175,10 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 // with each other (read from one merged view).
 func (h *Histogram) Quantiles(qs ...float64) []time.Duration {
 	merged, total := h.merge()
+	peak := h.Max()
 	out := make([]time.Duration, len(qs))
 	for i, q := range qs {
-		out[i] = quantileOf(&merged, total, q)
+		out[i] = quantileOf(&merged, total, peak, q)
 	}
 	return out
 }

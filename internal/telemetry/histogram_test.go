@@ -98,6 +98,21 @@ func TestHistogramCountSumMaxExact(t *testing.T) {
 	}
 }
 
+// TestQuantileNeverExceedsMax: with one observation every quantile is that
+// observation, so p99 must equal the exact max rather than the midpoint of
+// its bucket (3 ms sits at the bottom of a bucket whose midpoint is
+// ~3.015 ms).
+func TestQuantileNeverExceedsMax(t *testing.T) {
+	var h Histogram
+	h.Observe(3 * time.Millisecond)
+	if p99, max := h.Quantile(0.99), h.Max(); p99 != max {
+		t.Errorf("Quantile(0.99) = %v, Max = %v; want equal", p99, max)
+	}
+	if s := h.Summary(); s.P99Ms != s.MaxMs || s.P95Ms != s.MaxMs || s.P50Ms != s.MaxMs {
+		t.Errorf("Summary quantiles %v/%v/%v ms, max %v ms; want all equal", s.P50Ms, s.P95Ms, s.P99Ms, s.MaxMs)
+	}
+}
+
 func TestHistogramEmptyAndNegative(t *testing.T) {
 	var h Histogram
 	if h.Quantile(0.5) != 0 || h.Count() != 0 || h.Max() != 0 || h.Sum() != 0 {

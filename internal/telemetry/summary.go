@@ -21,12 +21,13 @@ type Summary struct {
 // An empty histogram summarises to all zeros.
 func (h *Histogram) Summary() Summary {
 	merged, total := h.merge()
+	peak := h.Max()
 	s := Summary{
 		Count: total,
-		P50Ms: ms(quantileOf(&merged, total, 0.50)),
-		P95Ms: ms(quantileOf(&merged, total, 0.95)),
-		P99Ms: ms(quantileOf(&merged, total, 0.99)),
-		MaxMs: ms(h.Max()),
+		P50Ms: ms(quantileOf(&merged, total, peak, 0.50)),
+		P95Ms: ms(quantileOf(&merged, total, peak, 0.95)),
+		P99Ms: ms(quantileOf(&merged, total, peak, 0.99)),
+		MaxMs: ms(peak),
 	}
 	if total > 0 {
 		s.MeanMs = ms(time.Duration(int64(h.Sum()) / total))

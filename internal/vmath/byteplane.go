@@ -2,7 +2,6 @@ package vmath
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"nerve/internal/telemetry"
@@ -82,7 +81,7 @@ func (p *BytePlane) FromPlane(src *Plane) *BytePlane {
 // PlaneAllocs, so the steady-state allocation proofs cover byte shadows
 // too.
 type BytePool struct {
-	buckets [poolBuckets]sync.Pool
+	buckets [poolBuckets]freeList[BytePlane]
 	stats   PoolStats
 	check   bytePoolChecker
 }
@@ -114,7 +113,7 @@ func (p *BytePool) Get(w, h int) *BytePlane {
 		return &BytePlane{W: w, H: h, Pix: make([]uint8, n)}
 	}
 	bcap := poolBucketCap(idx)
-	pl, _ := p.buckets[idx].Get().(*BytePlane)
+	pl := p.buckets[idx].pop()
 	if pl == nil {
 		atomic.AddInt64(&p.stats.Misses, 1)
 		if p == DefaultBytePool {
@@ -158,7 +157,7 @@ func (p *BytePool) Put(pl *BytePlane) {
 	}
 	atomic.AddInt64(&p.stats.Puts, 1)
 	p.check.onPut(pl)
-	p.buckets[idx].Put(pl)
+	p.buckets[idx].push(pl)
 }
 
 // Stats returns a snapshot of the pool's counters (BytesLive in bytes, not

@@ -11,9 +11,12 @@ import (
 // Pool is a size-bucketed, concurrency-safe free list of Plane backing
 // arrays. Get hands out a dirty (or zeroed, see GetZeroed) plane whose
 // backing array comes from the bucket of the smallest power-of-two element
-// count that fits; Put returns a plane for reuse. Each bucket is a
-// sync.Pool, so unused buffers are reclaimed by the GC under memory
-// pressure and the pool never needs explicit sizing.
+// count that fits; Put returns a plane for reuse. Each bucket is an owned,
+// mutex-guarded LIFO free list: a plane Put on one goroutine is available
+// to the next Get on any other, whichever OS thread either runs on, and a
+// GC never empties it. The pool needs no explicit sizing; a bucket holds at
+// most the largest number of its planes that were ever out at once, so it
+// never raises peak memory above what the callers already reached.
 //
 // Ownership contract (see DESIGN.md "Memory model"):
 //
@@ -32,16 +35,40 @@ import (
 // The zero Pool is ready to use. Most code uses the package-level
 // DefaultPool via the free functions Get, GetZeroed and Put.
 type Pool struct {
-	buckets [poolBuckets]bucket
+	buckets [poolBuckets]freeList[Plane]
 	stats   PoolStats
 	check   poolChecker
 }
 
-// bucket wraps one sync.Pool holding *Plane values whose Pix capacity is
-// exactly the bucket's element count. Storing pointers keeps Get/Put free
-// of interface-boxing allocations.
-type bucket struct {
-	free sync.Pool
+// freeList is one bucket: a mutex-guarded stack of planes whose backing
+// capacity is exactly the bucket's size. It is not a sync.Pool: that
+// one's per-P private slots make a Put on one P invisible to a Get on
+// another, so a warm multi-core loop would still miss. Once the stack's
+// slice has grown to the bucket's high-water mark, push and pop allocate
+// nothing.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []*T
+}
+
+// pop returns the most recently pushed item, or nil when the list is empty.
+func (f *freeList[T]) pop() *T {
+	f.mu.Lock()
+	var x *T
+	if n := len(f.items); n > 0 {
+		x = f.items[n-1]
+		f.items[n-1] = nil
+		f.items = f.items[:n-1]
+	}
+	f.mu.Unlock()
+	return x
+}
+
+// push adds x to the list.
+func (f *freeList[T]) push(x *T) {
+	f.mu.Lock()
+	f.items = append(f.items, x)
+	f.mu.Unlock()
 }
 
 // PoolStats are the pool's cumulative counters. Read them atomically via
@@ -121,7 +148,7 @@ func (p *Pool) Get(w, h int) *Plane {
 		return &Plane{W: w, H: h, Pix: make([]float32, n)}
 	}
 	bcap := poolBucketCap(idx)
-	pl, _ := p.buckets[idx].free.Get().(*Plane)
+	pl := p.buckets[idx].pop()
 	if pl == nil {
 		atomic.AddInt64(&p.stats.Misses, 1)
 		if p == DefaultPool {
@@ -180,7 +207,7 @@ func (p *Pool) Put(pl *Plane) {
 	}
 	atomic.AddInt64(&p.stats.Puts, 1)
 	p.check.onPut(pl)
-	p.buckets[idx].free.Put(pl)
+	p.buckets[idx].push(pl)
 }
 
 // Stats returns a snapshot of the pool's counters.

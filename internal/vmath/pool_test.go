@@ -10,9 +10,6 @@ import (
 // TestPoolBucketReuse proves recycling: a Put plane's backing array is the
 // one handed back by the next same-bucket Get.
 func TestPoolBucketReuse(t *testing.T) {
-	if RaceEnabled {
-		t.Skip("sync.Pool drops random Puts under -race; reuse is not deterministic")
-	}
 	var p Pool
 	a := p.Get(32, 16)
 	first := &a.Pix[0]
@@ -28,9 +25,6 @@ func TestPoolBucketReuse(t *testing.T) {
 }
 
 func TestPoolStatsCounters(t *testing.T) {
-	if RaceEnabled {
-		t.Skip("sync.Pool drops random Puts under -race; reuse is not deterministic")
-	}
 	var p Pool
 	a := p.Get(16, 16) // miss
 	if s := p.Stats(); s.Misses != 1 || s.Hits != 0 {
@@ -116,9 +110,6 @@ func TestPoolConcurrent(t *testing.T) {
 // TestPoolGetPutZeroAlloc proves the steady-state contract at the pool
 // level: once a bucket is warm, Get+Put allocates nothing.
 func TestPoolGetPutZeroAlloc(t *testing.T) {
-	if RaceEnabled {
-		t.Skip("sync.Pool drops random Puts under -race; reuse is not deterministic")
-	}
 	var p Pool
 	p.Put(p.Get(64, 48)) // warm the bucket
 	allocs := testing.AllocsPerRun(100, func() {
@@ -137,9 +128,6 @@ func TestPoolGetPutZeroAlloc(t *testing.T) {
 // heap-allocated because fn escapes into the worker pool) are the only
 // permitted residue, bounded by a small constant per call.
 func TestIntoKernelsZeroPlaneAlloc(t *testing.T) {
-	if RaceEnabled {
-		t.Skip("sync.Pool drops random Puts under -race; reuse is not deterministic")
-	}
 	defer par.SetWorkers(1)()
 	src := Get(64, 48)
 	for i := range src.Pix {
