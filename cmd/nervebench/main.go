@@ -15,7 +15,7 @@
 //	nervebench -workers 1 -exp fig7 # pin the worker pool (also: NERVE_WORKERS)
 //	nervebench -all -quick -telemetry BENCH_telemetry.json
 //	nervebench -stages -quick       # pipelined 1080p session: stage p50/p99 + overlap
-//	nervebench -stages -tier auto   # same, kernel tier picked per frame by the governor
+//	nervebench -stages -tier float  # same, float reference kernels
 package main
 
 import (
@@ -42,7 +42,7 @@ func main() {
 		telEvents = flag.String("telemetry-events", "", "stream telemetry events (JSON lines) to this file")
 		fps       = flag.Float64("fps", 30, "frame-deadline target in frames per second (with -telemetry)")
 		stages    = flag.Bool("stages", false, "run a pipelined 1080p client session and dump per-stage p50/p99 plus the overlap ratio")
-		tierFlag  = flag.String("tier", "auto", "kernel tier policy for -stages: float, fixed or auto (deadline governor)")
+		tierFlag  = flag.String("tier", "auto", "kernel tier for -stages: float, fixed or auto (the fixed tier)")
 	)
 	flag.Parse()
 	if *workers > 0 {

@@ -16,8 +16,8 @@ import (
 // five — and dumps where the frame time went: per-stage p50/p99 from the
 // stage timers, plus the pipeline's busy vs critical-path split and the
 // overlap ratio the stage graph actually won. tier picks the kernel tier
-// policy (-tier float|fixed|auto); under auto the report also shows the
-// governor's per-tier frame counts, switches and probes.
+// (-tier float|fixed|auto, where auto is fixed); the report ends with the
+// per-tier frame counts.
 func runStages(w io.Writer, quick bool, seed int64, tier core.Tier) error {
 	frames := 150
 	if quick {
@@ -105,8 +105,7 @@ func runStages(w io.Writer, quick bool, seed int64, tier core.Tier) error {
 	fmt.Fprintf(w, "\noverlap ratio: %.2fx (busy time per unit of critical-path time; 1.00 = sequential)\n", s.Pipeline.OverlapRatio)
 	fmt.Fprintf(w, "deadline: %d/%d frames over the %.1f ms budget\n",
 		s.Deadline.Overruns, s.Deadline.Frames, s.Deadline.BudgetMs)
-	fmt.Fprintf(w, "tiers: %d float / %d fixed frames, %d switches, %d probes\n",
-		s.Counters["tier.float_frames"], s.Counters["tier.fixed_frames"],
-		s.Counters["tier.switches"], s.Counters["tier.probes"])
+	fmt.Fprintf(w, "tiers: %d float / %d fixed frames\n",
+		s.Counters["tier.float_frames"], s.Counters["tier.fixed_frames"])
 	return nil
 }

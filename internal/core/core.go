@@ -8,7 +8,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"nerve/internal/codec"
 	"nerve/internal/device"
@@ -93,14 +92,13 @@ type ClientConfig struct {
 	EnableRecovery bool
 	// EnableSR turns super-resolution on.
 	EnableSR bool
-	// Tier selects the kernel tier policy: TierFloat (the zero value) and
-	// TierFixed pin one tier for every frame, TierAuto lets a deadline
-	// governor switch float↔fixed per frame from observed frame times
-	// (see tierGovernor). The fixed tier runs the recovery model's
-	// byte-plane warp path (recovery.Config.FixedPoint) and the SR
-	// stage's byte-plane head (sr.NewFast); its output differs from the
-	// float tier by at most a few grey levels (see the tier parity tests
-	// in those packages) at a fraction of the one-core frame time.
+	// Tier selects the kernel tier for every frame of the client's life:
+	// TierFloat (the zero value) or TierFixed, which TierAuto names. The
+	// fixed tier runs the recovery model's byte-plane warp path
+	// (recovery.Config.FixedPoint) and the SR stage's byte-plane head
+	// (sr.NewFast); its output differs from the float tier by at most a
+	// few grey levels (see the tier parity tests in those packages) at a
+	// fraction of the one-core frame time.
 	Tier Tier
 	// Device is the cost model used for the latency/energy accounting
 	// (default iPhone 12).
@@ -152,13 +150,6 @@ type FrameResult struct {
 	// ProcessSeconds is the modelled device time spent on the frame
 	// (decode + recovery/SR inference).
 	ProcessSeconds float64
-	// Tier is the kernel tier the frame actually ran in — the pinned tier,
-	// or the governor's per-frame choice under TierAuto (never TierAuto
-	// itself).
-	Tier Tier
-	// probe marks a single-frame float probe issued by the governor while
-	// resident in the fixed tier; its observation is fed back specially.
-	probe bool
 }
 
 // upscaler is the SR stage contract both tiers satisfy (sr.SuperResolver
@@ -175,20 +166,10 @@ type Client struct {
 	rec *recovery.Recoverer
 	ext *edgecode.Extractor // to derive codes of locally produced frames
 
-	// SR heads per tier. Pinned policies build only their own head;
-	// TierAuto builds both so a switch costs nothing at frame time. Both
-	// are immutable after NewClient — stageEnhance picks one by the
-	// frame's tier, so the choice is safe to read from a pool worker while
-	// the next ingest is already deciding a different tier.
-	srFloat upscaler
-	srFixed upscaler
-	hasSR   bool
-
-	gov *tierGovernor // deadline governor; non-nil only for TierAuto
-	// govCost, when set, replaces the governor's wall-clock frame cost
-	// with a scripted one — the determinism tests' seam. Takes the frame
-	// index and the tier the frame ran in.
-	govCost func(frame int, t Tier) time.Duration
+	// sr is the SR head of the client's tier (nil without an SR stage).
+	// It is immutable after NewClient, so stageEnhance may run it on a
+	// pool worker while the next ingest proceeds.
+	sr upscaler
 
 	prevOut   *vmath.Plane // previous displayed frame at transmission res
 	prevPrev  *vmath.Plane
@@ -218,34 +199,14 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		classes: make(map[FrameClass]int),
 	}
 	if cfg.EnableSR && (cfg.OutW != cfg.W || cfg.OutH != cfg.H) {
-		c.hasSR = true
-		if cfg.Tier != TierFixed {
-			c.srFloat = sr.New(sr.Config{OutW: cfg.OutW, OutH: cfg.OutH})
+		srCfg := sr.Config{OutW: cfg.OutW, OutH: cfg.OutH}
+		if cfg.Tier == TierFixed {
+			c.sr = sr.NewFast(srCfg)
+		} else {
+			c.sr = sr.New(srCfg)
 		}
-		if cfg.Tier != TierFloat {
-			c.srFixed = sr.NewFast(sr.Config{OutW: cfg.OutW, OutH: cfg.OutH})
-		}
-	}
-	if cfg.Tier == TierAuto {
-		// Seed the governor from the device model until real observations
-		// arrive: the float tier is priced as hardware decode plus neural
-		// inference, the fixed tier as decode plus the grid-sample warp at
-		// the recovery work resolution (≤270p) — the warp-bound SWAR path
-		// that replaces inference under deadline pressure.
-		dec := devSeconds(cfg.Device.DecodeLatency(nearestRung(cfg.W, cfg.H)))
-		rc := c.rec.Config()
-		c.gov = newTierGovernor(
-			time.Second/30,
-			dec+devSeconds(cfg.Device.EnhanceLatency()),
-			dec+devSeconds(cfg.Device.WarpLatency(rc.WorkW, rc.WorkH)),
-		)
 	}
 	return c, nil
-}
-
-// devSeconds converts a device-model latency (seconds) to a Duration.
-func devSeconds(s float64) time.Duration {
-	return time.Duration(s * float64(time.Second))
 }
 
 // ClassCounts returns how many displayed frames were produced per class so
@@ -289,48 +250,23 @@ func (c *Client) Next(in Input) (*FrameResult, error) {
 	// The whole of Next is one playout slot's processing: decode plus
 	// recovery/SR. This is the span the per-frame deadline measures.
 	defer telemetry.FrameStart().Done()
-	start := time.Now()
 	res, outTx, err := c.stageIngest(in)
 	if err != nil {
 		return nil, err
 	}
-	res.Frame = c.stageEnhance(outTx, res.Tier)
-	c.observeGov(res, time.Since(start))
+	res.Frame = c.stageEnhance(outTx)
+	c.countTier()
 	return res, nil
 }
 
-// observeGov feeds one completed frame back to the tier accounting: the
-// per-tier frame counters always move, and under TierAuto the governor
-// absorbs the frame's cost — wall-clock stage time, or the scripted govCost
-// in tests. Callers invoke it once per completed frame in playout order:
-// Next inline, Pipeline at the join.
-func (c *Client) observeGov(res *FrameResult, cost time.Duration) {
-	if res.Tier == TierFixed {
+// countTier counts one completed frame under the client's tier. Callers
+// invoke it once per completed frame: Next inline, Pipeline at the join.
+func (c *Client) countTier() {
+	if c.cfg.Tier == TierFixed {
 		cTierFixedFrames.Add(1)
 	} else {
 		cTierFloatFrames.Add(1)
 	}
-	if c.gov == nil {
-		return
-	}
-	if c.govCost != nil {
-		cost = c.govCost(res.Index, res.Tier)
-	}
-	if c.gov.observe(res.Tier, res.probe, cost) {
-		cTierSwitches.Add(1)
-	}
-}
-
-// frameTier resolves the tier for the frame about to be ingested.
-func (c *Client) frameTier() (t Tier, probe bool) {
-	if c.gov == nil {
-		return c.cfg.Tier, false
-	}
-	t, probe = c.gov.next()
-	if probe {
-		cTierProbes.Add(1)
-	}
-	return t, probe
 }
 
 // stageIngest is stage A of the frame graph: decode (or conceal/recover)
@@ -350,11 +286,6 @@ func (c *Client) stageIngest(in Input) (*FrameResult, *vmath.Plane, error) {
 	dev := c.cfg.Device
 	c.total++
 
-	// Pick the frame's kernel tier before any kernel can run, and point
-	// the recovery model at it — tier is per-frame state everywhere else.
-	res.Tier, res.probe = c.frameTier()
-	c.rec.SetFixedPoint(res.Tier == TierFixed)
-
 	var outTx *vmath.Plane // displayed frame at transmission resolution
 	var staleRef *vmath.Plane
 	switch {
@@ -369,11 +300,6 @@ func (c *Client) stageIngest(in Input) (*FrameResult, *vmath.Plane, error) {
 	default:
 		dr, err := c.dec.Decode(in.Encoded, in.Received)
 		if err != nil {
-			// The slot died before producing an observation; re-arm a
-			// probe issued for it so float re-entry is not wedged.
-			if c.gov != nil {
-				c.gov.cancel(res.probe)
-			}
 			return nil, nil, fmt.Errorf("core: decode frame %d: %w", c.frameIdx, err)
 		}
 		res.ProcessSeconds += dev.DecodeLatency(nearestRung(c.cfg.W, c.cfg.H))
@@ -397,7 +323,7 @@ func (c *Client) stageIngest(in Input) (*FrameResult, *vmath.Plane, error) {
 	c.dec.SetReference(outTx)
 	vmath.Put(staleRef)
 
-	if c.hasSR {
+	if c.sr != nil {
 		res.ProcessSeconds += dev.EnhanceLatency()
 		if res.Class == ClassDecoded {
 			res.Class = ClassSR
@@ -411,7 +337,7 @@ func (c *Client) stageIngest(in Input) (*FrameResult, *vmath.Plane, error) {
 	// can go back to the pool unless it escaped to the caller as a
 	// displayed frame, which happens exactly when enhance returns its
 	// input unchanged (no SR stage, no resize).
-	if old := c.prevPrev; old != nil && (c.hasSR || c.cfg.OutW != c.cfg.W || c.cfg.OutH != c.cfg.H) {
+	if old := c.prevPrev; old != nil && (c.sr != nil || c.cfg.OutW != c.cfg.W || c.cfg.OutH != c.cfg.H) {
 		vmath.Put(old)
 	}
 	c.prevPrev = c.prevOut
@@ -423,8 +349,8 @@ func (c *Client) stageIngest(in Input) (*FrameResult, *vmath.Plane, error) {
 		// can continue when the side channel skips a frame. The fixed
 		// tier extracts from a pooled byte shadow of the frame — the
 		// byte-domain pipeline (edgecode.ExtractBytes) rather than the
-		// float one, keeping the frame's kernel tier honest end to end.
-		if res.Tier == TierFixed {
+		// float one, keeping the client's kernel tier honest end to end.
+		if c.cfg.Tier == TierFixed {
 			shadow := vmath.GetBytes(c.prevOut.W, c.prevOut.H).FromPlane(c.prevOut)
 			c.prevCode = c.ext.ExtractBytes(shadow)
 			vmath.PutBytes(shadow)
@@ -439,17 +365,13 @@ func (c *Client) stageIngest(in Input) (*FrameResult, *vmath.Plane, error) {
 
 // stageEnhance is stage B of the frame graph: lift the transmission-
 // resolution frame to display resolution (SR head or plain bilinear). It
-// reads only outTx, the frame's tier and immutable client state (the SR
-// heads never change after NewClient), touches no client temporal state,
-// and is deterministic for any worker-pool size — the properties Pipeline
-// relies on to overlap it with the next ingest even while the governor is
-// deciding a different tier for that ingest.
-func (c *Client) stageEnhance(outTx *vmath.Plane, tier Tier) *vmath.Plane {
-	if c.hasSR {
-		if tier == TierFixed {
-			return c.srFixed.Upscale(outTx)
-		}
-		return c.srFloat.Upscale(outTx)
+// reads only outTx and immutable client state (the SR head never changes
+// after NewClient), touches no client temporal state, and is deterministic
+// for any worker-pool size — the properties Pipeline relies on to overlap
+// it with the next ingest.
+func (c *Client) stageEnhance(outTx *vmath.Plane) *vmath.Plane {
+	if c.sr != nil {
+		return c.sr.Upscale(outTx)
 	}
 	if c.cfg.OutW != c.cfg.W || c.cfg.OutH != c.cfg.H {
 		return vmath.ResizeBilinearInto(vmath.Get(c.cfg.OutW, c.cfg.OutH), outTx)

@@ -17,15 +17,6 @@ import (
 // where par.Go degrades to inline execution and the schedule collapses to
 // exactly Next's.
 //
-// One caveat under ClientConfig.Tier == TierAuto: the governor's
-// observation of frame n arrives at the join inside Push(n+1), after that
-// slot's ingest already chose its tier — so pipelined tier decisions lag
-// sequential ones by one frame (tier(n+1) is a function of frames ≤ n−1
-// rather than ≤ n). The switch sequence is still deterministic for any
-// pool size (observations stay in playout order on the caller goroutine),
-// but Auto-tier output is only bit-identical between Push and Next drivers
-// when the lag changes no decision. Pinned tiers are unaffected.
-//
 // The price of the overlap is one slot of latency: Push(n) returns frame
 // n−1 (nil on the first call), and Flush drains the last frame at end of
 // stream. Per-frame telemetry moves from ObserveFrame to
@@ -77,16 +68,15 @@ func (p *Pipeline) Push(in Input) (*FrameResult, error) {
 		// busy = what the completed frame cost across both stages;
 		// critical = how long this Push blocked the caller (ingest of the
 		// new slot + the tail of the joined enhance). Their totals' ratio
-		// is the snapshot's overlap figure. The governor sees the busy
-		// time — what the frame actually cost, not what the overlap hid.
+		// is the snapshot's overlap figure.
 		telemetry.Default.ObservePipelineFrame(p.ingest+p.enhance, time.Since(start))
-		p.c.observeGov(done, p.ingest+p.enhance)
+		p.c.countTier()
 	}
 	p.pending = res
 	p.ingest = ingest
 	p.join = par.Go(func() {
 		t0 := time.Now()
-		res.Frame = p.c.stageEnhance(outTx, res.Tier)
+		res.Frame = p.c.stageEnhance(outTx)
 		p.enhance = time.Since(t0)
 	})
 	return done, nil
@@ -107,6 +97,6 @@ func (p *Pipeline) Flush() *FrameResult {
 	// The drain slot has no new ingest to hide the join behind: its
 	// critical path is its own ingest plus the remaining enhance tail.
 	telemetry.Default.ObservePipelineFrame(p.ingest+p.enhance, p.ingest+time.Since(start))
-	p.c.observeGov(done, p.ingest+p.enhance)
+	p.c.countTier()
 	return done
 }

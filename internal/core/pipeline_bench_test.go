@@ -77,13 +77,3 @@ func BenchmarkPipelineFrame1080pOverlap(b *testing.B) { benchmarkPipeline1080p(b
 // BenchmarkPipelineFrame1080pFloat is the float-tier reference point for
 // the fixed-point speedup.
 func BenchmarkPipelineFrame1080pFloat(b *testing.B) { benchmarkPipeline1080p(b, TierFloat, 1) }
-
-// BenchmarkPipelineFrame1080pAuto runs the governor live: the device seed
-// prices the float tier inside the budget, so the stream opens float, the
-// first wall-clock observations blow the 33 ms deadline on this class of
-// hardware, and the governor drops to the fixed tier within the warm-up.
-// Gated by the same -ceiling-ms budget as the pinned fixed tier: auto must
-// settle fast enough that the deadline holds even with the float frames it
-// pays while deciding (warm-up covers them here; probes are far sparser
-// than any benchtime).
-func BenchmarkPipelineFrame1080pAuto(b *testing.B) { benchmarkPipeline1080p(b, TierAuto, 1) }

@@ -104,10 +104,11 @@ type Input struct {
 
 // Recoverer runs the recovery model. It keeps the temporal history state H
 // across calls; feed frames in playout order and Reset at scene changes or
-// stream restarts.
+// stream restarts. Its kernel tier (Config.FixedPoint) is set once by New
+// and holds for the Recoverer's life, so only that tier's H is populated.
 type Recoverer struct {
 	cfg      Config
-	history  *vmath.Plane     // H at work resolution; persistent pooled plane
+	history  *vmath.Plane     // float-tier H at work resolution; persistent pooled plane
 	historyB *vmath.BytePlane // fixed-tier H; see finishFixed
 
 	// Per-frame scratch reused across calls (never escapes).
@@ -131,14 +132,6 @@ func New(cfg Config) *Recoverer {
 
 // Config returns the effective configuration (defaults applied).
 func (r *Recoverer) Config() Config { return r.cfg }
-
-// SetFixedPoint switches the kernel tier between calls — the adaptive
-// client flips it per frame under deadline pressure. It is safe at any
-// frame boundary: the float and byte tiers keep separate temporal history
-// (history/historyB) and prev-work caches, each re-seeded lazily on the
-// first frame its tier runs, so a switch never reads state written in the
-// other tier's numeric domain. Not safe concurrently with Recover.
-func (r *Recoverer) SetFixedPoint(on bool) { r.cfg.FixedPoint = on }
 
 // Reset clears the temporal history state.
 func (r *Recoverer) Reset() {

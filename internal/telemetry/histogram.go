@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -24,9 +25,12 @@ const (
 const histShards = 8
 
 type histShard struct {
-	count   atomic.Int64
-	sum     atomic.Int64
-	max     atomic.Int64
+	count atomic.Int64
+	sum   atomic.Int64
+	max   atomic.Int64
+	// minInv is math.MaxInt64 minus the smallest observation, tracked as a
+	// maximum so that the zero value means "no observation yet".
+	minInv  atomic.Int64
 	buckets [histBuckets]atomic.Int64
 }
 
@@ -36,7 +40,8 @@ type histShard struct {
 // and no mutex. The zero value is ready to use.
 //
 // Quantiles are estimated from bucket midpoints, accurate to one
-// sub-bucket (≤12.5% relative error); count, sum and max are exact.
+// sub-bucket (≤12.5% relative error) and clamped to [Min, Max]; count,
+// sum, min and max are exact.
 type Histogram struct {
 	shards [histShards]histShard
 }
@@ -79,12 +84,20 @@ func (h *Histogram) Observe(d time.Duration) {
 		v = 0
 	}
 	s := &h.shards[shardFor(uint64(v))]
+	// Extremes first: a reader that sees this value in a bucket also sees
+	// it inside [Min, Max], so a quantile clamp never uses stale bounds.
+	raiseTo(&s.max, v)
+	raiseTo(&s.minInv, math.MaxInt64-v)
 	s.buckets[bucketIndex(uint64(v))].Add(1)
 	s.count.Add(1)
 	s.sum.Add(v)
+}
+
+// raiseTo sets a to max(a, v) without a lock.
+func raiseTo(a *atomic.Int64, v int64) {
 	for {
-		old := s.max.Load()
-		if v <= old || s.max.CompareAndSwap(old, v) {
+		old := a.Load()
+		if v <= old || a.CompareAndSwap(old, v) {
 			return
 		}
 	}
@@ -119,6 +132,20 @@ func (h *Histogram) Max() time.Duration {
 	return time.Duration(m)
 }
 
+// Min returns the smallest recorded duration (0 when empty).
+func (h *Histogram) Min() time.Duration {
+	var inv int64
+	for i := range h.shards {
+		if v := h.shards[i].minInv.Load(); v > inv {
+			inv = v
+		}
+	}
+	if inv == 0 && h.Count() == 0 {
+		return 0
+	}
+	return time.Duration(math.MaxInt64 - inv)
+}
+
 // merge collapses the shards into one bucket array; total is the summed
 // count. Reading is atomic per bucket, not frozen — the usual
 // consistent-enough view for reporting.
@@ -135,9 +162,10 @@ func (h *Histogram) merge() (merged [histBuckets]int64, total int64) {
 }
 
 // quantileOf reads the q-quantile out of a merged bucket array. The
-// bucket midpoint is clamped to peak, the exact largest observation, so a
-// quantile never exceeds the maximum it is reported beside.
-func quantileOf(merged *[histBuckets]int64, total int64, peak time.Duration, q float64) time.Duration {
+// bucket midpoint is clamped to [least, peak], the exact smallest and
+// largest observations, so a quantile never leaves the range of the values
+// it summarises.
+func quantileOf(merged *[histBuckets]int64, total int64, least, peak time.Duration, q float64) time.Duration {
 	if total == 0 {
 		return 0
 	}
@@ -156,7 +184,7 @@ func quantileOf(merged *[histBuckets]int64, total int64, peak time.Duration, q f
 		cum += n
 		if cum >= target {
 			lo, width := bucketBounds(b)
-			return min(time.Duration(lo+width/2), peak)
+			return min(max(time.Duration(lo+width/2), least), peak)
 		}
 	}
 	return time.Duration(0) // unreachable
@@ -164,10 +192,10 @@ func quantileOf(merged *[histBuckets]int64, total int64, peak time.Duration, q f
 
 // Quantile returns the q-quantile (0 < q ≤ 1) of the recorded durations,
 // estimated as the midpoint of the bucket holding the target rank and
-// capped at Max. An empty histogram returns 0.
+// clamped to [Min, Max]. An empty histogram returns 0.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	merged, total := h.merge()
-	return quantileOf(&merged, total, h.Max(), q)
+	return quantileOf(&merged, total, h.Min(), h.Max(), q)
 }
 
 // Quantiles returns several quantiles in one pass over the buckets —
@@ -175,10 +203,10 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 // with each other (read from one merged view).
 func (h *Histogram) Quantiles(qs ...float64) []time.Duration {
 	merged, total := h.merge()
-	peak := h.Max()
+	least, peak := h.Min(), h.Max()
 	out := make([]time.Duration, len(qs))
 	for i, q := range qs {
-		out[i] = quantileOf(&merged, total, peak, q)
+		out[i] = quantileOf(&merged, total, least, peak, q)
 	}
 	return out
 }
@@ -192,6 +220,7 @@ func (h *Histogram) reset() {
 		s.count.Store(0)
 		s.sum.Store(0)
 		s.max.Store(0)
+		s.minInv.Store(0)
 		for b := range s.buckets {
 			s.buckets[b].Store(0)
 		}

@@ -96,6 +96,9 @@ func TestHistogramCountSumMaxExact(t *testing.T) {
 	if got := h.Max(); got != max {
 		t.Errorf("Max = %v, want %v", got, max)
 	}
+	if got := h.Min(); got != 0 {
+		t.Errorf("Min = %v, want 0", got)
+	}
 }
 
 // TestQuantileNeverExceedsMax: with one observation every quantile is that
@@ -113,9 +116,28 @@ func TestQuantileNeverExceedsMax(t *testing.T) {
 	}
 }
 
+// TestQuantileNeverBelowMin: 1001 ns sits near the top of the bucket
+// [960, 1024) whose midpoint is 992 ns, so an unclamped p50 of a single
+// 1001 ns observation would report a value below everything recorded.
+func TestQuantileNeverBelowMin(t *testing.T) {
+	var h Histogram
+	h.Observe(1001)
+	if got := h.Min(); got != 1001 {
+		t.Fatalf("Min = %v, want 1001ns", got)
+	}
+	for _, q := range []float64{0.01, 0.5, 0.99} {
+		if got := h.Quantile(q); got != 1001 {
+			t.Errorf("Quantile(%v) = %v, want 1001ns", q, got)
+		}
+	}
+	if s := h.Summary(); s.P50Ms != s.MaxMs {
+		t.Errorf("Summary p50 %v ms, max %v ms; want equal", s.P50Ms, s.MaxMs)
+	}
+}
+
 func TestHistogramEmptyAndNegative(t *testing.T) {
 	var h Histogram
-	if h.Quantile(0.5) != 0 || h.Count() != 0 || h.Max() != 0 || h.Sum() != 0 {
+	if h.Quantile(0.5) != 0 || h.Count() != 0 || h.Min() != 0 || h.Max() != 0 || h.Sum() != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
 	h.Observe(-time.Second) // clamps to zero

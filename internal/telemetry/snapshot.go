@@ -11,11 +11,12 @@ import (
 // it when a field changes meaning so downstream analysis can dispatch.
 // v2: added the pipeline block; for pipelined clients the deadline block
 // now measures per-frame critical-path time, not summed stage time.
-// v3: added the tier.* counters (tier.float_frames, tier.fixed_frames,
-// tier.switches, tier.probes) — per-frame kernel-tier accounting from the
-// adaptive tier governor; sessions pinned to one tier count every frame
-// under that tier with zero switches and probes.
-const SnapshotSchema = 3
+// v3: added the tier.* counters — per-frame kernel-tier accounting.
+// v4: removed the tier-switch and float-probe counters with the per-frame
+// tier governor; a client keeps one tier for its life, so tier.float_frames
+// and tier.fixed_frames count every frame under that tier. Quantiles are
+// now clamped to the exact minimum as well as the maximum.
+const SnapshotSchema = 4
 
 // StageStats is one stage's aggregate in a Snapshot. All times are
 // milliseconds of wall clock.

@@ -21,12 +21,12 @@ type Summary struct {
 // An empty histogram summarises to all zeros.
 func (h *Histogram) Summary() Summary {
 	merged, total := h.merge()
-	peak := h.Max()
+	least, peak := h.Min(), h.Max()
 	s := Summary{
 		Count: total,
-		P50Ms: ms(quantileOf(&merged, total, peak, 0.50)),
-		P95Ms: ms(quantileOf(&merged, total, peak, 0.95)),
-		P99Ms: ms(quantileOf(&merged, total, peak, 0.99)),
+		P50Ms: ms(quantileOf(&merged, total, least, peak, 0.50)),
+		P95Ms: ms(quantileOf(&merged, total, least, peak, 0.95)),
+		P99Ms: ms(quantileOf(&merged, total, least, peak, 0.99)),
 		MaxMs: ms(peak),
 	}
 	if total > 0 {
