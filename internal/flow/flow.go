@@ -106,18 +106,46 @@ func (f *Field) Scale(s float32) *Field {
 // prevents the progressive blur that repeated bilinear resampling inflicts
 // on recursively recovered frames (generation loss).
 func (f *Field) SnapIntegers(thresh float32) *Field {
-	snap := func(v float32) float32 {
-		r := float32(math.Round(float64(v)))
-		if d := v - r; d < thresh && d > -thresh {
-			return r
-		}
-		return v
-	}
 	for i := range f.U {
-		f.U[i] = snap(f.U[i])
-		f.V[i] = snap(f.V[i])
+		f.U[i] = SnapInteger(f.U[i], thresh)
+		f.V[i] = SnapInteger(f.V[i], thresh)
 	}
 	return f
+}
+
+// SnapInteger is one component of SnapIntegers: v rounded to the nearest
+// integer (halves away from zero) when it lies within thresh of it, v
+// otherwise.
+func SnapInteger(v, thresh float32) float32 {
+	r := roundFloat32(v)
+	if d := v - r; d < thresh && d > -thresh {
+		return r
+	}
+	return v
+}
+
+// roundFloat32 is float32(math.Round(float64(v))), bit for bit, without
+// the float64 round trip: below 2²³ the magnitude is truncated and bumped
+// at a fraction of one half (the subtraction is exact there), then the
+// sign bit of v is restored, so -0.3 rounds to -0 as math.Round does.
+// Larger magnitudes are already integers, and NaN and ±Inf round to
+// themselves. It is small enough for SnapInteger to inline.
+func roundFloat32(v float32) float32 {
+	a := v
+	if a < 0 {
+		a = -a
+	}
+	if !(a < 1<<23) {
+		return v
+	}
+	t := float32(int32(a))
+	if a-t >= 0.5 {
+		t++
+	}
+	if math.Float32bits(v)>>31 != 0 {
+		t = -t
+	}
+	return t
 }
 
 // Clone deep-copies the field.

@@ -188,3 +188,26 @@ func BenchmarkEstimate128x64(b *testing.B) {
 		Estimate(prev, cur, Options{})
 	}
 }
+
+// TestRoundFloat32MatchesMathRound checks roundFloat32 against the float64
+// math.Round it replaces, bit for bit: halves, values next to halves and
+// to the 2²³ integer limit, signed zeros, infinities, NaN and a random
+// sweep.
+func TestRoundFloat32MatchesMathRound(t *testing.T) {
+	vals := []float32{0, float32(math.Copysign(0, -1)), 0.5, -0.5, 1.5, -1.5, 2.5, 0.49999997, -0.49999997,
+		0.35, -0.35, 0.65, -0.65, 1 << 23, -(1 << 23), 1<<23 - 0.5, -(1<<23 - 0.5), 1 << 24, 3e38,
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), math.SmallestNonzeroFloat32}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200000; i++ {
+		vals = append(vals, float32(rng.NormFloat64()*math.Pow(10, float64(rng.Intn(9)-3))))
+	}
+	for _, v := range vals {
+		for _, x := range []float32{v, math.Nextafter32(v, float32(math.Inf(1))), math.Nextafter32(v, float32(math.Inf(-1)))} {
+			want := float32(math.Round(float64(x)))
+			if got := roundFloat32(x); math.Float32bits(got) != math.Float32bits(want) {
+				t.Fatalf("roundFloat32(%v) = %v (%08x), math.Round gives %v (%08x)",
+					x, got, math.Float32bits(got), want, math.Float32bits(want))
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"nerve/internal/codec"
 	"nerve/internal/edgecode"
 	"nerve/internal/metrics"
 	"nerve/internal/video"
@@ -70,6 +71,34 @@ func TestFixedPointExtrapolatedRuns(t *testing.T) {
 	}
 }
 
+// TestFixedPointPartialClampsPastedPixels: the fixed tier skips the final
+// clamp of its byte-built prediction, so received pixels outside [0, 255]
+// must be clamped as they are pasted.
+func TestFixedPointPartialClampsPastedPixels(t *testing.T) {
+	g := video.NewGenerator(video.Categories()[2], 8)
+	ext := edgecode.NewExtractor(0, 0)
+	prev := g.Render(11, tw, th)
+	truth := g.Render(12, tw, th)
+	part := vmath.NewPlane(tw, th)
+	mask := vmath.NewPlane(tw, th)
+	for i := range part.Pix {
+		part.Pix[i] = float32(i%3)*200 - 100 // -100, 100, 300
+		mask.Pix[i] = float32(i / tw % 2)
+	}
+	r := New(Config{OutW: tw, OutH: th, FixedPoint: true})
+	out := r.Recover(Input{Prev: prev, PrevCode: ext.Extract(prev), CurCode: ext.Extract(truth),
+		Part: part, PartMask: mask})
+	for i, v := range out.Pix {
+		want := v
+		if mask.Pix[i] > 0.5 {
+			want = min(max(part.Pix[i], 0), 255)
+		}
+		if v != want || v < 0 || v > 255 {
+			t.Fatalf("pixel %d = %v, want %v in [0, 255]", i, v, want)
+		}
+	}
+}
+
 // TestFixedPointZeroPlaneAllocsWarm: a warmed fixed-tier Recoverer must run
 // entirely on pooled planes (byte shadows included — BytePool misses count
 // into PlaneAllocs too).
@@ -128,3 +157,65 @@ func benchmarkRecoverHintedTier(b *testing.B, fixed bool) {
 
 func BenchmarkRecoverHintedFixed540p(b *testing.B) { benchmarkRecoverHintedTier(b, true) }
 func BenchmarkRecoverHintedFloat540p(b *testing.B) { benchmarkRecoverHintedTier(b, false) }
+
+// BenchmarkRecoverLostGamePlay540p times fixed-tier recovery where its cost
+// is: GamePlay content (fast motion, new objects) at the play-lossy
+// geometry, recovering from codec-decoded frames in chains of three
+// consecutive losses the way the pipeline chains them. Decoded references
+// and chained recoveries disagree with the received codes far more than
+// pristine frames do, so the mismatch branch opens about five times the holes
+// of BenchmarkRecoverHintedFixed540p and inpainting carries its real
+// share. Iteration i runs step i%3 of the chain; every chain restarts
+// from the decoded frames, so each iteration sees the same inputs.
+func BenchmarkRecoverLostGamePlay540p(b *testing.B) {
+	const w, h, start, chain = 960, 540, 17, 3
+	g := video.NewGenerator(video.Categories()[3], 1)
+	ext := edgecode.NewExtractor(0, 0)
+	enc := codec.NewEncoder(codec.Config{W: w, H: h, GOP: 60, TargetBitrate: 6e6, PacketPayload: 1200})
+	dec := codec.NewDecoder(codec.Config{W: w, H: h})
+	// The stream runs from its intra frame, as the server sends it: the
+	// codec drift and the code extractor's temporal state build up over
+	// the frames before the chain.
+	frames := make([]*vmath.Plane, start)
+	codes := make([]*edgecode.Code, start+chain)
+	for k := range codes {
+		src := g.Render(k, w, h)
+		codes[k] = ext.Extract(src)
+		if k < start {
+			res, err := dec.Decode(enc.Encode(src), nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			frames[k] = res.Frame.Clone()
+		}
+	}
+	r := New(Config{OutW: w, OutH: h, FixedPoint: true})
+	outs := make([]*vmath.Plane, chain)
+	step := func(i int) {
+		k := i % chain
+		if k == 0 {
+			for j, o := range outs {
+				vmath.Put(o)
+				outs[j] = nil
+			}
+			r.Reset()
+		}
+		// I_{t-1} and I_{t-2}: decoded frames before the chain, recovered
+		// ones inside it.
+		at := func(j int) *vmath.Plane {
+			if j < 0 {
+				return frames[start+j]
+			}
+			return outs[j]
+		}
+		outs[k] = r.Recover(Input{Prev: at(k - 1), PrevPrev: at(k - 2),
+			PrevCode: codes[start+k-1], CurCode: codes[start+k]})
+	}
+	for i := 0; i < 2*chain; i++ {
+		step(i) // warm the pools
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i)
+	}
+}

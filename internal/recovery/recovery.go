@@ -30,6 +30,7 @@ import (
 
 	"nerve/internal/edgecode"
 	"nerve/internal/flow"
+	"nerve/internal/par"
 	"nerve/internal/telemetry"
 	"nerve/internal/vmath"
 )
@@ -53,11 +54,15 @@ type Config struct {
 	// FixedPoint selects the integer tier for the heavy kernels: byte-plane
 	// work-resolution resampling, SWAR-SAD block flow (flow.EstimateBytes)
 	// and the Q15 SWAR backward warp (warp.BackwardBytesInto). The
-	// mismatch/inpaint/enhance branches stay float — they run on the small
-	// work plane and their cost is hole-count-, not area-, bound. The tiers
-	// produce near-identical output (TestFixedPointHintedParity); fixed
-	// point exists for the frame deadline, trading ≤1 LSB kernel error for
-	// roughly half the recovery latency.
+	// mismatch and inpaint branches stay float on the work plane in both
+	// tiers. They are not cheap: inpainting costs holes × InpaintIters,
+	// and on fast content recovered from decoded frames the holes run
+	// from a few thousand to a third of the 480×270 work plane, which made
+	// inpainting the largest single term of a lost frame until its kernel
+	// was rewritten (see inpaint). The tiers produce near-identical output
+	// (TestFixedPointHintedParity); fixed point exists for the frame
+	// deadline, trading ≤1 LSB kernel error for roughly half the recovery
+	// latency.
 	FixedPoint bool
 }
 
@@ -159,18 +164,25 @@ func (r *Recoverer) Recover(in Input) *vmath.Plane {
 		panic("recovery: Input.Prev is required")
 	}
 	var out *vmath.Plane
+	// The fixed tier's predictions are built from byte planes, so they
+	// already lie in [0, 255] and skip the final clamp; overridePartial
+	// clamps what it pastes.
+	inRange := false
 	switch {
 	case in.PrevCode != nil && in.CurCode != nil:
-		out = r.recoverHinted(in)
+		out, inRange = r.recoverHinted(in), r.cfg.FixedPoint
 	case in.PrevPrev != nil:
-		out = r.recoverExtrapolated(in)
+		out, inRange = r.recoverExtrapolated(in), r.cfg.FixedPoint
 	default:
 		out = r.Reuse(in.Prev)
 	}
 	if in.Part != nil && in.PartMask != nil {
 		out = r.overridePartial(out, in.Part, in.PartMask)
 	}
-	return out.Clamp255()
+	if !inRange {
+		out.Clamp255()
+	}
+	return out
 }
 
 // recoverHinted is the full pipeline. The binary point code plays its two
@@ -195,36 +207,19 @@ func (r *Recoverer) recoverHinted(in Input) *vmath.Plane {
 
 	// Hint motion: flow between the consecutive binary point codes. Codes
 	// are sparse, so matching uses a strong zero bias and the result is
-	// only trusted where its confidence is high.
+	// only trusted where its confidence is high (see fuseHint).
 	prevSoft := in.PrevCode.SoftPlane()
 	curSoft := in.CurCode.SoftPlane()
 	codeFlow := flow.Estimate(prevSoft, curSoft,
 		flow.Options{Levels: 2, Search: 2, ZeroBias: 1.5})
 	vmath.Put(prevSoft)
 	vmath.Put(curSoft)
-	hint := codeFlow.Resample(cfg.WorkW, cfg.WorkH)
+	// Fuse into the base field in place: nothing reads the pure
+	// extrapolation afterwards.
+	fuseHint(base, codeFlow)
 	codeFlow.Release()
-
-	// Fuse in place into the base field (nothing reads the pure
-	// extrapolation afterwards): lean toward the hint where it is
-	// confident and disagrees with the extrapolation (the hint knows the
-	// current frame; extrapolation only assumes constant velocity).
-	fused := base
-	for i := range fused.U {
-		w := hint.Conf[i] * hint.Conf[i] * 0.6
-		fused.U[i] += w * (hint.U[i] - fused.U[i])
-		fused.V[i] += w * (hint.V[i] - fused.V[i])
-		if hint.Conf[i] > fused.Conf[i] {
-			fused.Conf[i] = hint.Conf[i]
-		}
-	}
-	hint.Release()
-
-	// Snap near-integer vectors: exact copies avoid generation loss over
-	// consecutive recoveries.
-	fused.SnapIntegers(0.35)
-	warped, valid := r.warpPrev(fused)
-	fused.Release()
+	warped, valid := r.warpPrev(base)
+	base.Release()
 
 	// Mismatch detection: contours promised by the current code that the
 	// warped prediction does not contain (and stale contours it should
@@ -251,6 +246,61 @@ func (r *Recoverer) recoverHinted(in Input) *vmath.Plane {
 	}
 	vmath.Put(valid)
 	return res
+}
+
+// snapThresh is the distance from an integer within which a recovery flow
+// vector component is snapped to it: exact copies avoid generation loss
+// over consecutive recoveries.
+const snapThresh = 0.35
+
+// fuseHint folds the code-flow hint into base in place, in one pass over
+// the work field. Per pixel it resamples the hint to base's geometry
+// exactly as flow.Field.Resample would (bilinear, vectors scaled by the
+// resolution ratio), leans base toward it where the hint is confident and
+// disagrees with the extrapolation (the hint knows the current frame;
+// extrapolation only assumes constant velocity), keeps the larger
+// confidence, and snaps near-integer vectors — the float32 operations of
+// the separate resample, fuse and SnapIntegers passes, in their order, so
+// the field is bit-identical to theirs. Rows are independent, so they run
+// on the shared pool.
+func fuseHint(base, hint *flow.Field) {
+	w, h := base.W, base.H
+	sx := float32(w) / float32(hint.W)
+	sy := float32(h) / float32(hint.H)
+	xt := vmath.LerpTaps(hint.W, w)
+	yt := vmath.LerpTaps(hint.H, h)
+	par.ForRows(h, func(y0, y1 int) {
+		for y := y0; y < y1; y++ {
+			ty := yt[y]
+			r0, r1 := int(ty.I0)*hint.W, int(ty.I1)*hint.W
+			for x, tx := range xt {
+				hu := lerpAt(hint.U, r0, r1, tx, ty.F) * sx
+				hv := lerpAt(hint.V, r0, r1, tx, ty.F) * sy
+				hc := lerpAt(hint.Conf, r0, r1, tx, ty.F)
+				i := y*w + x
+				wt := hc * hc * 0.6
+				u := base.U[i] + wt*(hu-base.U[i])
+				v := base.V[i] + wt*(hv-base.V[i])
+				if hc > base.Conf[i] {
+					base.Conf[i] = hc
+				}
+				base.U[i] = flow.SnapInteger(u, snapThresh)
+				base.V[i] = flow.SnapInteger(v, snapThresh)
+			}
+		}
+	})
+}
+
+// lerpAt is one bilinear sample of p (row offsets r0, r1) in the float32
+// operation order of vmath.ResizeBilinearInto.
+func lerpAt(p []float32, r0, r1 int, tx vmath.LerpTap, fy float32) float32 {
+	v00 := p[r0+int(tx.I0)]
+	v10 := p[r0+int(tx.I1)]
+	v01 := p[r1+int(tx.I0)]
+	v11 := p[r1+int(tx.I1)]
+	top := v00 + tx.F*(v10-v00)
+	bot := v01 + tx.F*(v11-v01)
+	return top + fy*(bot-top)
 }
 
 // overlayPartWork resamples the partial frame and its mask to work
@@ -428,7 +478,7 @@ func (r *Recoverer) recoverExtrapolated(in Input) *vmath.Plane {
 	// field predicts I_t from I_{t-1} — one extrapolation step is the
 	// field itself, so it is snapped and used directly.
 	f := r.baseFlow(in)
-	ext := f.SnapIntegers(0.35)
+	ext := f.SnapIntegers(snapThresh)
 	warped, valid := r.warpPrev(ext)
 	f.Release()
 	r.overlayPartWork(warped, valid, in)
@@ -485,7 +535,8 @@ func (r *Recoverer) enhance(img, valid *vmath.Plane) *vmath.Plane {
 
 // overridePartial pastes received content over the prediction in place (the
 // paper: "partial content is also used to override the predicted frame in
-// the corresponding region") and returns pred.
+// the corresponding region") and returns pred. Pasted pixels are clamped to
+// [0, 255] as Clamp255 would clamp them.
 func (r *Recoverer) overridePartial(pred, part, mask *vmath.Plane) *vmath.Plane {
 	p := part
 	m := mask
@@ -497,7 +548,13 @@ func (r *Recoverer) overridePartial(pred, part, mask *vmath.Plane) *vmath.Plane 
 	}
 	for i := range pred.Pix {
 		if m.Pix[i] > 0.5 {
-			pred.Pix[i] = p.Pix[i]
+			v := p.Pix[i]
+			if v < 0 {
+				v = 0
+			} else if v > 255 {
+				v = 255
+			}
+			pred.Pix[i] = v
 		}
 	}
 	if pooled {
@@ -515,6 +572,16 @@ func (r *Recoverer) overridePartial(pred, part, mask *vmath.Plane) *vmath.Plane 
 // would wipe texture that is only a couple of pixels out of place).
 // The result is a fresh pool-backed plane; img is left untouched (it is
 // the diffusion anchor). The hole index list is scratch on the Recoverer.
+//
+// The weight a hole pulls a neighbour with depends only on the neighbour
+// (its guide edge strength and whether it is valid), never on the
+// iteration, so it is computed once into a pooled pull-weight plane. The
+// Jacobi steps then ping-pong between two pooled planes that agree on
+// every non-hole pixel, so no step copies its result back. Each step
+// splits the hole list into fixed-size chunks on the shared pool: a step
+// reads only the previous plane and writes only its own holes, and chunk
+// boundaries depend on the hole count alone, so the result is the same
+// for every worker count.
 func (r *Recoverer) inpaint(img, valid, guide *vmath.Plane, iters int) *vmath.Plane {
 	out, holes := inpaintScratch(img, valid, guide, iters, r.holes)
 	r.holes = holes
@@ -527,6 +594,10 @@ func inpaint(img, valid, guide *vmath.Plane, iters int) *vmath.Plane {
 	return out
 }
 
+// inpaintChunk is the number of holes per parallel task of one Jacobi
+// step.
+const inpaintChunk = 4096
+
 func inpaintScratch(img, valid, guide *vmath.Plane, iters int, scratch []int) (*vmath.Plane, []int) {
 	w, h := img.W, img.H
 	out := vmath.Get(w, h).CopyFrom(img)
@@ -536,52 +607,68 @@ func inpaintScratch(img, valid, guide *vmath.Plane, iters int, scratch []int) (*
 			holes = append(holes, i)
 		}
 	}
-	if len(holes) == 0 {
+	if len(holes) == 0 || iters <= 0 {
 		return out, holes
 	}
 
-	const selfWeight = 0.8
-	// next is only ever written then read at hole indices, so a dirty
-	// pooled plane is safe.
-	next := vmath.Get(w, h)
-	for it := 0; it < iters; it++ {
-		for _, i := range holes {
-			x := i % w
-			y := i / w
-			acc := selfWeight * img.Pix[i]
-			wsum := float32(selfWeight)
-			add := func(nx, ny int) {
-				if nx < 0 || ny < 0 || nx >= w || ny >= h {
-					return
-				}
-				j := ny*w + nx
-				wgt := float32(1)
-				if guide != nil {
-					// Damp diffusion across hinted contours.
-					wgt = 1 - 0.85*guide.Pix[j]
-					if wgt < 0.05 {
-						wgt = 0.05
-					}
-				}
-				// Pulls from valid pixels count extra: truth anchors.
-				if valid.Pix[j] >= 0.5 {
-					wgt *= 2
-				}
-				acc += wgt * out.Pix[j]
-				wsum += wgt
-			}
-			add(x-1, y)
-			add(x+1, y)
-			add(x, y-1)
-			add(x, y+1)
-			if wsum > 0 {
-				next.Pix[i] = acc / wsum
+	// Pull weights: damped across hinted contours, doubled from valid
+	// pixels (truth anchors).
+	pull := vmath.Get(w, h)
+	for j := range pull.Pix {
+		wgt := float32(1)
+		if guide != nil {
+			wgt = 1 - 0.85*guide.Pix[j]
+			if wgt < 0.05 {
+				wgt = 0.05
 			}
 		}
-		for _, i := range holes {
-			out.Pix[i] = next.Pix[i]
+		if valid.Pix[j] >= 0.5 {
+			wgt *= 2
+		}
+		pull.Pix[j] = wgt
+	}
+
+	const selfWeight = 0.8
+	cur, next := out, vmath.Get(w, h).CopyFrom(img)
+	step := func(c int) {
+		chunk := holes[c*inpaintChunk : min((c+1)*inpaintChunk, len(holes))]
+		src, dst, pw, anchor := cur.Pix, next.Pix, pull.Pix, img.Pix
+		// Holes ascend, so the row is tracked instead of divided out.
+		y := chunk[0] / w
+		row := y * w
+		for _, i := range chunk {
+			for i >= row+w {
+				row += w
+				y++
+			}
+			x := i - row
+			acc := selfWeight * anchor[i]
+			wsum := float32(selfWeight)
+			if x > 0 {
+				acc += pw[i-1] * src[i-1]
+				wsum += pw[i-1]
+			}
+			if x < w-1 {
+				acc += pw[i+1] * src[i+1]
+				wsum += pw[i+1]
+			}
+			if y > 0 {
+				acc += pw[i-w] * src[i-w]
+				wsum += pw[i-w]
+			}
+			if y < h-1 {
+				acc += pw[i+w] * src[i+w]
+				wsum += pw[i+w]
+			}
+			dst[i] = acc / wsum // wsum ≥ selfWeight > 0
 		}
 	}
+	chunks := (len(holes) + inpaintChunk - 1) / inpaintChunk
+	for it := 0; it < iters; it++ {
+		par.For(chunks, step)
+		cur, next = next, cur
+	}
 	vmath.Put(next)
-	return out, holes
+	vmath.Put(pull)
+	return cur, holes
 }

@@ -47,38 +47,84 @@ func Convolve(p *Plane, kernel []float32, k int) *Plane {
 // intermediate before dst is written. Both passes parallelise over row
 // bands; the vertical pass reads the fully written horizontal
 // intermediate, which the pool's completion barrier guarantees.
+//
+// Every output is the float32 sum s += w·v over the taps in ascending
+// order from s = 0, exactly as a per-tap AtClamp loop would form it, so the
+// result is bit-identical to that loop; only the index arithmetic differs.
+// The horizontal pass clamps columns only within the kernel radius of the
+// left and right borders and reads interior windows directly. The vertical
+// pass clamps one row index per tap and accumulates whole rows, tap by tap,
+// in the destination row.
 func ConvolveSeparableInto(dst, p *Plane, kx, ky []float32) *Plane {
 	if len(kx)%2 == 0 || len(ky)%2 == 0 {
 		panic("vmath: ConvolveSeparable needs odd tap vectors")
 	}
 	dst = ensure(dst, p.W, p.H)
+	w, h := p.W, p.H
 	rx := len(kx) / 2
-	tmp := Get(p.W, p.H)
-	par.ForRows(p.H, func(y0, y1 int) {
+	tmp := Get(w, h)
+	// Columns [lo, hi) have the whole horizontal window inside the row.
+	lo, hi := rx, w-rx
+	if hi < lo {
+		lo, hi = w, w
+	}
+	par.ForRows(h, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
-			for x := 0; x < p.W; x++ {
+			row := p.Pix[y*w : y*w+w]
+			out := tmp.Pix[y*w : y*w+w]
+			for x := 0; x < lo; x++ {
+				out[x] = convClampedTap(row, x-rx, kx)
+			}
+			for x := lo; x < hi; x++ {
+				win := row[x-rx : x-rx+len(kx)]
 				var s float32
-				for i, w := range kx {
-					s += w * p.AtClamp(x+i-rx, y)
+				for i, wt := range kx {
+					s += wt * win[i]
 				}
-				tmp.Pix[y*p.W+x] = s
+				out[x] = s
+			}
+			for x := hi; x < w; x++ {
+				out[x] = convClampedTap(row, x-rx, kx)
 			}
 		}
 	})
 	ry := len(ky) / 2
-	par.ForRows(p.H, func(y0, y1 int) {
+	par.ForRows(h, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
-			for x := 0; x < p.W; x++ {
-				var s float32
-				for j, w := range ky {
-					s += w * tmp.AtClamp(x, y+j-ry)
+			out := dst.Pix[y*w : y*w+w]
+			clear(out)
+			for j, wt := range ky {
+				yy := y + j - ry
+				if yy < 0 {
+					yy = 0
+				} else if yy >= h {
+					yy = h - 1
 				}
-				dst.Pix[y*p.W+x] = s
+				src := tmp.Pix[yy*w : yy*w+w]
+				for x := range out {
+					out[x] += wt * src[x]
+				}
 			}
 		}
 	})
 	Put(tmp)
 	return dst
+}
+
+// convClampedTap is one border output of the horizontal pass: the taps of
+// k over row starting at column x0, with columns clamped to the row.
+func convClampedTap(row []float32, x0 int, k []float32) float32 {
+	var s float32
+	for i, wt := range k {
+		xx := x0 + i
+		if xx < 0 {
+			xx = 0
+		} else if xx >= len(row) {
+			xx = len(row) - 1
+		}
+		s += wt * row[xx]
+	}
+	return s
 }
 
 // ConvolveSeparable applies a separable filter: first the horizontal tap

@@ -155,10 +155,7 @@ func ResizeNearestBytesInto(dst, src *BytePlane) *BytePlane {
 }
 
 // ResizeBilinearBytesInto resamples src to dst's size with pixel-centre
-// bilinear interpolation in Q15 fixed point. The two vertical neighbours of
-// each source column ride in the two 32-bit lanes of one uint64, so a
-// single multiply-add performs both horizontal lerps; the vertical lerp
-// then runs in 64-bit Q30 with one final round-to-nearest shift.
+// bilinear interpolation in Q15 fixed point (see bilerpQ15).
 //
 // Error bound vs PixelByte(ResizeBilinearInto(float shadow)): ≤1 LSB
 // (weight quantisation ≈0.016 grey levels plus differing rounding at
@@ -176,30 +173,70 @@ func ResizeBilinearBytesInto(dst, src *BytePlane) *BytePlane {
 	}
 	xt := bilinearTapsFor(src.W, w)
 	yt := bilinearTapsFor(src.H, h)
-	const one = 1 << fixedWeightShift
 	par.ForRows(h, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
 			t := yt[y]
 			row0 := src.Pix[int(t.i0)*src.W:]
 			row1 := src.Pix[int(t.i1)*src.W:]
-			wy := uint64(t.w)
-			iwy := uint64(one) - wy
 			out := dst.Pix[y*w : y*w+w]
 			for x := 0; x < w; x++ {
 				tx := xt[x]
-				// Lane 0: row0 (top), lane 1: row1 (bottom).
-				a := uint64(row0[tx.i0]) | uint64(row1[tx.i0])<<32
-				b := uint64(row0[tx.i1]) | uint64(row1[tx.i1])<<32
-				// One multiply-add lerps both rows horizontally (Q15 lanes).
-				hq := a*(uint64(one)-uint64(tx.w)) + b*uint64(tx.w)
-				top := hq & 0xffffffff
-				bot := hq >> 32
-				// Vertical lerp to Q30, round to nearest.
-				out[x] = uint8((top*iwy + bot*wy + 1<<29) >> 30)
+				out[x] = bilerpQ15(row0[tx.i0], row0[tx.i1], row1[tx.i0], row1[tx.i1], tx.w, t.w)
 			}
 		}
 	})
 	return dst
+}
+
+// ResizeBilinearToBytesInto resamples the byte shadow of src (each pixel
+// rounded with PixelByte) to dst's size: bit-identical to FromPlane into a
+// src-sized byte plane followed by ResizeBilinearBytesInto, without
+// materialising the shadow. Only the source pixels the taps touch are
+// rounded — a quarter of them for a 4:1 downscale.
+func ResizeBilinearToBytesInto(dst *BytePlane, src *Plane) *BytePlane {
+	w, h := dst.W, dst.H
+	if w == 0 || h == 0 {
+		return dst
+	}
+	if src.W == 0 || src.H == 0 {
+		for i := range dst.Pix {
+			dst.Pix[i] = 0
+		}
+		return dst
+	}
+	xt := bilinearTapsFor(src.W, w)
+	yt := bilinearTapsFor(src.H, h)
+	par.ForRows(h, func(y0, y1 int) {
+		for y := y0; y < y1; y++ {
+			t := yt[y]
+			row0 := src.Pix[int(t.i0)*src.W:]
+			row1 := src.Pix[int(t.i1)*src.W:]
+			out := dst.Pix[y*w : y*w+w]
+			for x := 0; x < w; x++ {
+				tx := xt[x]
+				out[x] = bilerpQ15(PixelByte(row0[tx.i0]), PixelByte(row0[tx.i1]),
+					PixelByte(row1[tx.i0]), PixelByte(row1[tx.i1]), tx.w, t.w)
+			}
+		}
+	})
+	return dst
+}
+
+// bilerpQ15 is one output pixel of the byte bilinear resamplers: the top
+// (v00, v10) and bottom (v01, v11) source pairs, Q15 horizontal weight wx
+// and vertical weight wy. The two rows ride in the two 32-bit lanes of
+// one uint64, so a single multiply-add performs both horizontal lerps;
+// the vertical lerp then runs in 64-bit Q30 with one final
+// round-to-nearest shift.
+func bilerpQ15(v00, v10, v01, v11 uint8, wx, wy uint32) uint8 {
+	const one = 1 << fixedWeightShift
+	// Lane 0: row0 (top), lane 1: row1 (bottom).
+	a := uint64(v00) | uint64(v01)<<32
+	b := uint64(v10) | uint64(v11)<<32
+	hq := a*(uint64(one)-uint64(wx)) + b*uint64(wx)
+	top := hq & 0xffffffff
+	bot := hq >> 32
+	return uint8((top*(uint64(one)-uint64(wy)) + bot*uint64(wy) + 1<<29) >> 30)
 }
 
 // FixedTaps quantises a float tap vector to Q(shift) int16 taps with

@@ -128,6 +128,27 @@ func TestResizeBilinearBytesWithinOneLSB(t *testing.T) {
 	}
 }
 
+// TestResizeBilinearToBytesMatchesShadow: resampling a float plane
+// straight to bytes must equal rounding it to a byte shadow first and
+// resampling that, on every geometry and for pixels outside [0, 255].
+func TestResizeBilinearToBytesMatchesShadow(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, g := range append(resizeGeometries, struct{ sw, sh, dw, dh int }{960, 540, 240, 135}) {
+		src := NewPlane(g.sw, g.sh)
+		for i := range src.Pix {
+			src.Pix[i] = rng.Float32()*300 - 20
+		}
+		src.Pix[0] = 254.5
+		want := ResizeBilinearBytesInto(NewBytePlane(g.dw, g.dh), NewBytePlane(g.sw, g.sh).FromPlane(src))
+		got := ResizeBilinearToBytesInto(NewBytePlane(g.dw, g.dh), src)
+		for i := range want.Pix {
+			if got.Pix[i] != want.Pix[i] {
+				t.Fatalf("geometry %v: pixel %d = %d, shadow path %d", g, i, got.Pix[i], want.Pix[i])
+			}
+		}
+	}
+}
+
 // TestResizeBilinearBytesFlatExact: on a flat plane every lerp is exact, so
 // the fixed-point path must reproduce the constant bit-exactly (the
 // "bit-exact where the contract allows" half of the bound).

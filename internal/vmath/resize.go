@@ -54,14 +54,14 @@ func ResizeNearest(p *Plane, w, h int) *Plane {
 	return ResizeNearestInto(NewPlane(w, h), p)
 }
 
-// lerpTap is one axis sample of the pixel-centre bilinear lattice: two
+// LerpTap is one axis sample of the pixel-centre bilinear lattice: two
 // clamped source indices and the float32 fraction between them — exactly
 // the values SampleBilinear would derive per pixel, hoisted out of the
-// inner loop. Border taps carry i0 == i1, which makes the lerp collapse to
+// inner loop. Border taps carry I0 == I1, which makes the lerp collapse to
 // the replicated sample for any fraction, reproducing AtClamp bit-for-bit.
-type lerpTap struct {
-	i0, i1 int32
-	f      float32
+type LerpTap struct {
+	I0, I1 int32
+	F      float32
 }
 
 // lerpTapCache caches per-axis bilinear taps keyed by (src, dst) extent —
@@ -69,10 +69,21 @@ type lerpTap struct {
 // static per stream, so steady state never recomputes (or allocates) taps.
 var lerpTapCache = struct {
 	sync.RWMutex
-	m map[[2]int][]lerpTap
-}{m: map[[2]int][]lerpTap{}}
+	m map[[2]int][]LerpTap
+}{m: map[[2]int][]LerpTap{}}
 
-func lerpTapsFor(src, dst int) []lerpTap {
+// LerpTaps returns the bilinear taps ResizeBilinearInto uses along one
+// axis from src to dst samples, for kernels that fuse a bilinear resample
+// into other per-pixel work. With the taps tx, ty of the two axes, output
+// (x, y) is
+//
+//	top := v(tx.I0, ty.I0) + tx.F*(v(tx.I1, ty.I0)-v(tx.I0, ty.I0))
+//	bot := v(tx.I0, ty.I1) + tx.F*(v(tx.I1, ty.I1)-v(tx.I0, ty.I1))
+//	out := top + ty.F*(bot-top)
+//
+// evaluated in float32 in that order. The slice is cached and shared: it
+// must not be modified.
+func LerpTaps(src, dst int) []LerpTap {
 	key := [2]int{src, dst}
 	lerpTapCache.RLock()
 	t := lerpTapCache.m[key]
@@ -80,7 +91,7 @@ func lerpTapsFor(src, dst int) []lerpTap {
 	if t != nil {
 		return t
 	}
-	t = make([]lerpTap, dst)
+	t = make([]LerpTap, dst)
 	s := float64(src) / float64(dst)
 	for i := 0; i < dst; i++ {
 		// The same float32 position SampleBilinear receives, floored and
@@ -99,7 +110,7 @@ func lerpTapsFor(src, dst int) []lerpTap {
 		} else if j1 >= src {
 			j1 = src - 1
 		}
-		t[i] = lerpTap{i0: int32(j0), i1: int32(j1), f: fr}
+		t[i] = LerpTap{I0: int32(j0), I1: int32(j1), F: fr}
 	}
 	lerpTapCache.Lock()
 	lerpTapCache.m[key] = t
@@ -121,23 +132,23 @@ func ResizeBilinearInto(dst, p *Plane) *Plane {
 		dst.Fill(0)
 		return dst
 	}
-	xt := lerpTapsFor(p.W, w)
-	yt := lerpTapsFor(p.H, h)
+	xt := LerpTaps(p.W, w)
+	yt := LerpTaps(p.H, h)
 	par.ForRows(h, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
 			ty := yt[y]
-			row0 := p.Pix[int(ty.i0)*p.W : int(ty.i0)*p.W+p.W]
-			row1 := p.Pix[int(ty.i1)*p.W : int(ty.i1)*p.W+p.W]
-			fy := ty.f
+			row0 := p.Pix[int(ty.I0)*p.W : int(ty.I0)*p.W+p.W]
+			row1 := p.Pix[int(ty.I1)*p.W : int(ty.I1)*p.W+p.W]
+			fy := ty.F
 			drow := dst.Pix[y*w : y*w+w]
 			for x := 0; x < w; x++ {
 				tx := xt[x]
-				v00 := row0[tx.i0]
-				v10 := row0[tx.i1]
-				v01 := row1[tx.i0]
-				v11 := row1[tx.i1]
-				top := v00 + tx.f*(v10-v00)
-				bot := v01 + tx.f*(v11-v01)
+				v00 := row0[tx.I0]
+				v10 := row0[tx.I1]
+				v01 := row1[tx.I0]
+				v11 := row1[tx.I1]
+				top := v00 + tx.F*(v10-v00)
+				bot := v01 + tx.F*(v11-v01)
 				drow[x] = top + fy*(bot-top)
 			}
 		}
