@@ -8,9 +8,9 @@
 package edgecode
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
 
 	"nerve/internal/telemetry"
 	"nerve/internal/vmath"
@@ -256,8 +256,9 @@ func (e *Extractor) Extract(frame *vmath.Plane) *Code {
 	return code
 }
 
-// percentile sorts into a scratch buffer kept on the extractor, so the
-// per-frame cost is the sort alone.
+// percentile returns the value a sorted copy of pix would hold at index
+// int(p·(n−1)). It selects in a scratch buffer kept on the extractor, so
+// the per-frame cost is one expected-linear selection.
 func (e *Extractor) percentile(pix []float32, p float64) float32 {
 	if len(pix) == 0 {
 		return 0
@@ -269,15 +270,59 @@ func (e *Extractor) percentile(pix []float32, p float64) float32 {
 	for i, v := range pix {
 		tmp[i] = float64(v)
 	}
-	sort.Float64s(tmp)
-	idx := int(p * float64(len(tmp)-1))
-	if idx < 0 {
-		idx = 0
+	return float32(nthElement(tmp, percentileIndex(p, len(tmp))))
+}
+
+// percentileIndex is the order-statistic index of the p-th percentile of
+// n values: int(p·(n−1)), clamped to [0, n).
+func percentileIndex(p float64, n int) int {
+	return min(max(int(p*float64(n-1)), 0), n-1)
+}
+
+// nthElement reorders a so that a[k] holds the value a sorted copy of a
+// (ordered by cmp.Less, as sort.Float64s and sort.Ints order) would hold
+// at index k, and returns it: quickselect, a Hoare partition around a
+// median-of-three pivot, in expected linear time instead of a full sort's
+// n·log n. The k-th order statistic is one value however equal elements
+// are arranged, so the result is the sorted one.
+func nthElement[T cmp.Ordered](a []T, k int) T {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if cmp.Less(a[mid], a[lo]) {
+			a[mid], a[lo] = a[lo], a[mid]
+		}
+		if cmp.Less(a[hi], a[lo]) {
+			a[hi], a[lo] = a[lo], a[hi]
+		}
+		if cmp.Less(a[hi], a[mid]) {
+			a[hi], a[mid] = a[mid], a[hi]
+		}
+		pivot := a[mid]
+		i, j := lo, hi
+		for i <= j {
+			for cmp.Less(a[i], pivot) {
+				i++
+			}
+			for cmp.Less(pivot, a[j]) {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return a[k] // j < k < i: equal to the pivot
+		}
 	}
-	if idx >= len(tmp) {
-		idx = len(tmp) - 1
-	}
-	return float32(tmp[idx])
+	return a[k]
 }
 
 // Hamming returns the number of differing bits between two codes of equal

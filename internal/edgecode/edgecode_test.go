@@ -1,7 +1,9 @@
 package edgecode
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -262,5 +264,56 @@ func TestCompressPropertyRandomCodes(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNthElementMatchesSort: selection must return exactly the value a
+// full sort puts at every index, for sizes 1..40 with heavy duplication,
+// signed zeros and NaN, and for a code-sized array.
+func TestNthElementMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	check := func(a []float64) {
+		sorted := append([]float64(nil), a...)
+		sort.Float64s(sorted)
+		for k := range a {
+			got := nthElement(append([]float64(nil), a...), k)
+			if got != sorted[k] && !(math.IsNaN(got) && math.IsNaN(sorted[k])) {
+				t.Fatalf("n=%d k=%d: nthElement %v, sorted %v", len(a), k, got, sorted[k])
+			}
+		}
+		ints := make([]int, len(a))
+		for i, v := range a {
+			ints[i] = int(v * 7)
+		}
+		sortedInts := append([]int(nil), ints...)
+		sort.Ints(sortedInts)
+		for k := range ints {
+			if got := nthElement(append([]int(nil), ints...), k); got != sortedInts[k] {
+				t.Fatalf("ints n=%d k=%d: nthElement %d, sorted %d", len(a), k, got, sortedInts[k])
+			}
+		}
+	}
+	for n := 1; n <= 40; n++ {
+		for rep := 0; rep < 20; rep++ {
+			a := make([]float64, n)
+			for i := range a {
+				a[i] = float64(rng.Intn(1 + n/3))
+			}
+			if rep%4 == 0 {
+				a[rng.Intn(n)] = math.NaN()
+				a[rng.Intn(n)] = math.Copysign(0, -1)
+			}
+			check(a)
+		}
+	}
+	a := make([]float64, DefaultW*DefaultH)
+	for i := range a {
+		a[i] = rng.ExpFloat64()
+	}
+	sorted := append([]float64(nil), a...)
+	sort.Float64s(sorted)
+	k := percentileIndex(0.86, len(a))
+	if got := nthElement(a, k); got != sorted[k] {
+		t.Fatalf("code-sized: nthElement %v, sorted %v", got, sorted[k])
 	}
 }

@@ -2,7 +2,6 @@ package edgecode
 
 import (
 	"math"
-	"sort"
 
 	"nerve/internal/telemetry"
 	"nerve/internal/vmath"
@@ -156,13 +155,5 @@ func (e *Extractor) percentileQ12(pix []int32, p float64) int32 {
 	for i, v := range pix {
 		tmp[i] = int(v)
 	}
-	sort.Ints(tmp)
-	idx := int(p * float64(len(tmp)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(tmp) {
-		idx = len(tmp) - 1
-	}
-	return int32(tmp[idx])
+	return int32(nthElement(tmp, percentileIndex(p, len(tmp))))
 }

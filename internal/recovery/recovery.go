@@ -261,22 +261,27 @@ const snapThresh = 0.35
 // extrapolation only assumes constant velocity), keeps the larger
 // confidence, and snaps near-integer vectors — the float32 operations of
 // the separate resample, fuse and SnapIntegers passes, in their order, so
-// the field is bit-identical to theirs. Rows are independent, so they run
-// on the shared pool.
+// the field is bit-identical to theirs. The hint's rows are lerped
+// horizontally once each (vmath.ResizeRowsBilinearInto) and blended
+// vertically here; output rows are independent, so they run on the
+// shared pool.
 func fuseHint(base, hint *flow.Field) {
 	w, h := base.W, base.H
 	sx := float32(w) / float32(hint.W)
 	sy := float32(h) / float32(hint.H)
-	xt := vmath.LerpTaps(hint.W, w)
+	rows := func(ch []float32) *vmath.Plane {
+		return vmath.ResizeRowsBilinearInto(vmath.Get(w, hint.H), vmath.FromSlice(hint.W, hint.H, ch))
+	}
+	ru, rv, rc := rows(hint.U), rows(hint.V), rows(hint.Conf)
 	yt := vmath.LerpTaps(hint.H, h)
 	par.ForRows(h, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
 			ty := yt[y]
-			r0, r1 := int(ty.I0)*hint.W, int(ty.I1)*hint.W
-			for x, tx := range xt {
-				hu := lerpAt(hint.U, r0, r1, tx, ty.F) * sx
-				hv := lerpAt(hint.V, r0, r1, tx, ty.F) * sy
-				hc := lerpAt(hint.Conf, r0, r1, tx, ty.F)
+			t, b := int(ty.I0)*w, int(ty.I1)*w
+			for x := 0; x < w; x++ {
+				hu := lerp(ru.Pix[t+x], ru.Pix[b+x], ty.F) * sx
+				hv := lerp(rv.Pix[t+x], rv.Pix[b+x], ty.F) * sy
+				hc := lerp(rc.Pix[t+x], rc.Pix[b+x], ty.F)
 				i := y*w + x
 				wt := hc * hc * 0.6
 				u := base.U[i] + wt*(hu-base.U[i])
@@ -289,19 +294,13 @@ func fuseHint(base, hint *flow.Field) {
 			}
 		}
 	})
+	vmath.Put(ru)
+	vmath.Put(rv)
+	vmath.Put(rc)
 }
 
-// lerpAt is one bilinear sample of p (row offsets r0, r1) in the float32
-// operation order of vmath.ResizeBilinearInto.
-func lerpAt(p []float32, r0, r1 int, tx vmath.LerpTap, fy float32) float32 {
-	v00 := p[r0+int(tx.I0)]
-	v10 := p[r0+int(tx.I1)]
-	v01 := p[r1+int(tx.I0)]
-	v11 := p[r1+int(tx.I1)]
-	top := v00 + tx.F*(v10-v00)
-	bot := v01 + tx.F*(v11-v01)
-	return top + fy*(bot-top)
-}
+// lerp is the vertical step of vmath.ResizeBilinearInto.
+func lerp(top, bot, f float32) float32 { return top + f*(bot-top) }
 
 // overlayPartWork resamples the partial frame and its mask to work
 // resolution (pooled scratch) and pastes received pixels into warped/valid.

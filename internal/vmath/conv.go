@@ -50,11 +50,11 @@ func Convolve(p *Plane, kernel []float32, k int) *Plane {
 //
 // Every output is the float32 sum s += w·v over the taps in ascending
 // order from s = 0, exactly as a per-tap AtClamp loop would form it, so the
-// result is bit-identical to that loop; only the index arithmetic differs.
+// result is bit-identical to that loop; only the loop structure differs.
 // The horizontal pass clamps columns only within the kernel radius of the
-// left and right borders and reads interior windows directly. The vertical
-// pass clamps one row index per tap and accumulates whole rows, tap by tap,
-// in the destination row.
+// left and right borders; between them it accumulates the row tap by tap
+// over the whole interior span, with no clamping. The vertical pass clamps
+// one row index per tap and accumulates whole rows the same way.
 func ConvolveSeparableInto(dst, p *Plane, kx, ky []float32) *Plane {
 	if len(kx)%2 == 0 || len(ky)%2 == 0 {
 		panic("vmath: ConvolveSeparable needs odd tap vectors")
@@ -75,13 +75,15 @@ func ConvolveSeparableInto(dst, p *Plane, kx, ky []float32) *Plane {
 			for x := 0; x < lo; x++ {
 				out[x] = convClampedTap(row, x-rx, kx)
 			}
-			for x := lo; x < hi; x++ {
-				win := row[x-rx : x-rx+len(kx)]
-				var s float32
+			if lo < hi {
+				mid := out[lo:hi]
+				clear(mid)
 				for i, wt := range kx {
-					s += wt * win[i]
+					src := row[lo-rx+i : hi-rx+i]
+					for x := range mid {
+						mid[x] += wt * src[x]
+					}
 				}
-				out[x] = s
 			}
 			for x := hi; x < w; x++ {
 				out[x] = convClampedTap(row, x-rx, kx)

@@ -1,6 +1,7 @@
 package vmath
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
@@ -132,8 +133,27 @@ func ResizeBilinearInto(dst, p *Plane) *Plane {
 		dst.Fill(0)
 		return dst
 	}
-	xt := LerpTaps(p.W, w)
 	yt := LerpTaps(p.H, h)
+	if h > p.H {
+		// Upscaling: output rows share source rows, so each source row is
+		// lerped horizontally once, into pooled scratch, and output rows
+		// blend two of those rows.
+		rows := ResizeRowsBilinearInto(Get(w, p.H), p)
+		par.ForRows(h, func(y0, y1 int) {
+			for y := y0; y < y1; y++ {
+				ty := yt[y]
+				top := rows.Pix[int(ty.I0)*w : int(ty.I0)*w+w]
+				bot := rows.Pix[int(ty.I1)*w : int(ty.I1)*w+w]
+				drow := dst.Pix[y*w : y*w+w]
+				for x := range drow {
+					drow[x] = top[x] + ty.F*(bot[x]-top[x])
+				}
+			}
+		})
+		Put(rows)
+		return dst
+	}
+	xt := LerpTaps(p.W, w)
 	par.ForRows(h, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
 			ty := yt[y]
@@ -150,6 +170,38 @@ func ResizeBilinearInto(dst, p *Plane) *Plane {
 				top := v00 + tx.F*(v10-v00)
 				bot := v01 + tx.F*(v11-v01)
 				drow[x] = top + fy*(bot-top)
+			}
+		}
+	})
+	return dst
+}
+
+// ResizeRowsBilinearInto is the horizontal half of ResizeBilinearInto:
+// it resamples every row of p to dst.W samples, so dst must be dst.W×p.H.
+// Row y of dst holds the horizontal lerps of source row y that
+// ResizeBilinearInto blends vertically (its top and bot values), bit for
+// bit; kernels that fuse a bilinear upscale into other per-pixel work
+// compute them once per source row instead of once per output row. dst
+// must not alias p.
+func ResizeRowsBilinearInto(dst, p *Plane) *Plane {
+	if dst.H != p.H {
+		panic(fmt.Sprintf("vmath: row resample needs %d rows, got %d", p.H, dst.H))
+	}
+	if dst.W == 0 || p.H == 0 {
+		return dst
+	}
+	if p.W == 0 {
+		dst.Fill(0)
+		return dst
+	}
+	xt := LerpTaps(p.W, dst.W)
+	par.ForRows(p.H, func(y0, y1 int) {
+		for y := y0; y < y1; y++ {
+			row := p.Pix[y*p.W : y*p.W+p.W]
+			out := dst.Pix[y*dst.W : y*dst.W+dst.W]
+			for x, tx := range xt {
+				v0 := row[tx.I0]
+				out[x] = v0 + tx.F*(row[tx.I1]-v0)
 			}
 		}
 	})

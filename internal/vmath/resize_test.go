@@ -137,3 +137,29 @@ func TestResizeEmpty(t *testing.T) {
 		t.Fatal("empty resize should stay empty")
 	}
 }
+
+// TestResizeBilinearMatchesSampleBilinear: ResizeBilinearInto, on its
+// single-pass (downscale) and row-reusing (upscale) paths alike, must
+// equal per-pixel SampleBilinear at the pixel-centre positions bit for
+// bit.
+func TestResizeBilinearMatchesSampleBilinear(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, g := range [][4]int{
+		{128, 64, 480, 270}, {240, 135, 480, 270}, {960, 540, 480, 270},
+		{7, 5, 3, 11}, {3, 11, 7, 5}, {1, 1, 5, 4}, {5, 4, 1, 1}, {13, 9, 13, 9},
+	} {
+		p := randomPlane(rng, g[0], g[1])
+		got := ResizeBilinear(p, g[2], g[3])
+		sx := float64(g[0]) / float64(g[2])
+		sy := float64(g[1]) / float64(g[3])
+		for y := 0; y < g[3]; y++ {
+			fy := float32((float64(y)+0.5)*sy - 0.5)
+			for x := 0; x < g[2]; x++ {
+				want := p.SampleBilinear(float32((float64(x)+0.5)*sx-0.5), fy)
+				if v := got.At(x, y); math.Float32bits(v) != math.Float32bits(want) {
+					t.Fatalf("%v: pixel (%d,%d) = %v, SampleBilinear %v", g, x, y, v, want)
+				}
+			}
+		}
+	}
+}
