@@ -261,21 +261,25 @@ func TestNodesAgreeOnOwnership(t *testing.T) {
 // key — the one-hop guarantee that makes forwarding loops impossible.
 func TestPeerMarkedRequestServesLocally(t *testing.T) {
 	nodes, urls, _ := testCluster(t, 2)
-	// Find a key node 0 does NOT own.
-	var path string
-	for rate := 0; rate < 2 && path == ""; rate++ {
-		for n := 0; n < 4; n++ {
-			if nodes[0].Ring().Owner(fmt.Sprintf("seg:%d:%d", rate, n)) != urls[0] {
-				path = fmt.Sprintf("/segment?rate=%d&n=%d", rate, n)
-				break
+	// Find a node and a key it does NOT own. The listen ports decide
+	// ownership, and a node owns all eight keys one run in 256; the other
+	// node then owns none, so some node always qualifies.
+	recv, path := -1, ""
+	for i := 0; i < len(nodes) && path == ""; i++ {
+		for rate := 0; rate < 2 && path == ""; rate++ {
+			for n := 0; n < 4; n++ {
+				if nodes[i].Ring().Owner(fmt.Sprintf("seg:%d:%d", rate, n)) != urls[i] {
+					recv, path = i, fmt.Sprintf("/segment?rate=%d&n=%d", rate, n)
+					break
+				}
 			}
 		}
 	}
 	if path == "" {
-		t.Fatal("node 0 owns every key — test needs a remote one")
+		t.Fatal("every node owns every key — test needs a remote one")
 	}
-	before := nodes[0].Stats().PeerFetches
-	req, err := http.NewRequest("GET", urls[0]+path, nil)
+	before := nodes[recv].Stats().PeerFetches
+	req, err := http.NewRequest("GET", urls[recv]+path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +292,7 @@ func TestPeerMarkedRequestServesLocally(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("peer-marked request: status %d", resp.StatusCode)
 	}
-	if got := nodes[0].Stats().PeerFetches; got != before {
+	if got := nodes[recv].Stats().PeerFetches; got != before {
 		t.Fatalf("peer-marked request was re-proxied (%d new peer fetches)", got-before)
 	}
 }

@@ -57,12 +57,11 @@ type Config struct {
 	// mismatch and inpaint branches stay float on the work plane in both
 	// tiers. They are not cheap: inpainting costs holes × InpaintIters,
 	// and on fast content recovered from decoded frames the holes run
-	// from a few thousand to a third of the 480×270 work plane, which made
-	// inpainting the largest single term of a lost frame until its kernel
-	// was rewritten (see inpaint). The tiers produce near-identical output
-	// (TestFixedPointHintedParity); fixed point exists for the frame
-	// deadline, trading ≤1 LSB kernel error for roughly half the recovery
-	// latency.
+	// from a few thousand to a third of the 480×270 work plane, so its
+	// kernel is built for that load (see inpaint). The tiers produce
+	// near-identical output (TestFixedPointHintedParity); fixed point
+	// exists for the frame deadline, trading ≤1 LSB kernel error for
+	// roughly half the recovery latency.
 	FixedPoint bool
 }
 
