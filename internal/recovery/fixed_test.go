@@ -186,7 +186,9 @@ func BenchmarkRecoverLostGamePlay540p(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			frames[k] = res.Frame.Clone()
+			if k >= start-2 { // only I_{t-2} and I_{t-1} are read
+				frames[k] = res.Frame.Clone()
+			}
 		}
 	}
 	r := New(Config{OutW: w, OutH: h, FixedPoint: true})
